@@ -238,7 +238,7 @@ def run_sweep(oracle_bound=None, seed=0):
     """
     bound = oracle_bound if oracle_bound is not None else sparing.oracle_bound_default()
     families = sweep_families()
-    optimal = {name: constructions.optimal_labeling(g) for name, g in families.items()}
+    optimal = {name: constructions.optimal_labeling(g, bound) for name, g in families.items()}
     rows = []
     discrepancies = []
     for name1, g1 in families.items():
@@ -364,9 +364,9 @@ def build_parser():
             p.add_argument("--labels", default=None, help="labeling JSON file")
         p.add_argument("--out", default=None, help="output JSON path (default stdout)")
         p.add_argument("--dot", default=None, help="also write a DOT file here")
-        p.add_argument("--oracle-bound", type=int,
-                       default=sparing.oracle_bound_default(),
-                       help="max vertices for the exact oracle")
+        p.add_argument("--oracle-bound", type=int, default=None,
+                       help="max vertices for the exact oracle (default: "
+                            f"${sparing.ORACLE_BOUND_ENV} or {sparing.DEFAULT_ORACLE_BOUND})")
         p.add_argument("--allow-isolated", action="store_true",
                        help="accept graphs with isolated vertices")
         p.add_argument("--seed", type=int, default=0,
@@ -412,6 +412,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if args.oracle_bound is not None and args.oracle_bound < 0:
+            raise UsageError("--oracle-bound must be a non-negative integer")
         if args.command == "label" and args.op is None and args.graph is None:
             raise UsageError("label needs --graph or --op with --g1/--g2")
         if args.command == "label" and args.op is not None and not (args.g1 and args.g2):

@@ -9,14 +9,18 @@ is therefore
     phi(G) = m - max { sum of degrees over S : S independent }
 
 which is a maximum-weight independent set problem with degree weights. The
-oracle solves it by branch and bound with bitset state; a configurable
-vertex cap keeps the search at desk scale.
+oracle solves it by branch and bound with bitset state. Its bound is the
+number of edges with an endpoint among the vertices still eligible: an
+independent set covers each edge at most once, and every edge at an
+eligible vertex is still uncovered, because the chosen vertices' neighbours
+are no longer eligible. A configurable vertex cap keeps the search at desk
+scale.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph_core import disjoint_union
 
@@ -29,7 +33,8 @@ class CapacityError(RuntimeError):
 
 
 class SparingError(ValueError):
-    """Invalid argument to a closed-form sparing formula."""
+    """Invalid argument to a closed-form sparing formula, or an invalid
+    oracle bound in the environment."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,7 @@ class SparingResult:
     value: int
     witness: tuple
     method: str
+    nodes: int = field(default=0, compare=False)
 
     def to_json_dict(self, formula_value=None):
         d = {"value": self.value, "witness": list(self.witness), "method": self.method}
@@ -48,8 +54,18 @@ class SparingResult:
 
 
 def oracle_bound_default():
+    """The vertex cap from the environment, or DEFAULT_ORACLE_BOUND if unset."""
     env = os.environ.get(ORACLE_BOUND_ENV)
-    return int(env) if env else DEFAULT_ORACLE_BOUND
+    if not env:
+        return DEFAULT_ORACLE_BOUND
+    try:
+        bound = int(env)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise SparingError(
+            f"{ORACLE_BOUND_ENV} must be a non-negative integer, got {env!r}")
+    return bound
 
 
 def _adj_masks(g):
@@ -65,32 +81,39 @@ def _max_coverage(n, adj, deg, target=None, fixed_mask=0, start_cov=0):
 
     With target set, returns True as soon as start_cov plus a search gain
     reaches it (and False if unreachable); otherwise returns the maximum.
-    Branching follows descending degree; the bound is the degree sum of the
-    vertices still eligible.
+    Either way the second return value is the number of search nodes.
+    Branching follows descending degree; the bound is the number of edges
+    with an endpoint still eligible, sum deg(avail) - |E[avail]|, since an
+    independent set covers each such edge at most once and none of them
+    is covered yet.
     """
     order = sorted(range(n), key=lambda v: (-deg[v], v))
     best = [start_cov if target is None else None]
+    nodes = [0]
 
-    def rest_weight(avail):
-        total = 0
+    def edge_bound(avail):
+        total = inner = 0
         m = avail
         while m:
             lsb = m & -m
-            total += deg[lsb.bit_length() - 1]
+            u = lsb.bit_length() - 1
+            total += deg[u]
+            inner += (adj[u] & avail).bit_count()
             m ^= lsb
-        return total
+        return total - inner // 2
 
     def dfs(avail, cov):
+        nodes[0] += 1
         if target is not None:
             if cov >= target:
                 best[0] = True
                 return True
-            if cov + rest_weight(avail) < target:
+            if cov + edge_bound(avail) < target:
                 return False
         else:
             if cov > best[0]:
                 best[0] = cov
-            if cov + rest_weight(avail) <= best[0]:
+            if cov + edge_bound(avail) <= best[0]:
                 return False
         v = next((u for u in order if avail >> u & 1), None)
         if v is None:
@@ -102,8 +125,8 @@ def _max_coverage(n, adj, deg, target=None, fixed_mask=0, start_cov=0):
 
     hit = dfs(((1 << n) - 1) & ~fixed_mask, start_cov)
     if target is not None:
-        return bool(hit)
-    return best[0]
+        return bool(hit), nodes[0]
+    return best[0], nodes[0]
 
 
 def sparing_exact(g, oracle_bound=None):
@@ -112,7 +135,8 @@ def sparing_exact(g, oracle_bound=None):
     Witness ties are broken by Python tuple order on the sorted vertex
     list, so a prefix beats any of its extensions. The witness is built
     greedily vertex by vertex, each step validated by a reachability run
-    of the same branch-and-bound.
+    of the same branch-and-bound. The result's nodes field counts the
+    search nodes of the maximum search and of every reachability run.
     """
     bound = oracle_bound if oracle_bound is not None else oracle_bound_default()
     if g.n > bound:
@@ -121,7 +145,7 @@ def sparing_exact(g, oracle_bound=None):
         )
     adj = _adj_masks(g)
     deg = [m.bit_count() for m in adj]
-    best_cov = _max_coverage(g.n, adj, deg)
+    best_cov, nodes = _max_coverage(g.n, adj, deg)
 
     chosen = []
     blocked = 0  # chosen vertices and their neighborhoods
@@ -131,18 +155,19 @@ def sparing_exact(g, oracle_bound=None):
             break
         if blocked >> v & 1:
             continue
-        reachable = _max_coverage(
+        reachable, run_nodes = _max_coverage(
             g.n, adj, deg,
             target=best_cov,
             fixed_mask=blocked | adj[v] | ((1 << (v + 1)) - 1),
             start_cov=cov + deg[v],
         )
+        nodes += run_nodes
         if reachable:
             chosen.append(v)
             blocked |= (1 << v) | adj[v]
             cov += deg[v]
     return SparingResult(value=g.m - best_cov, witness=tuple(chosen),
-                         method="exact-oracle")
+                         method="exact-oracle", nodes=nodes)
 
 
 def sparing_brute_force(g):

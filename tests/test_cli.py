@@ -10,6 +10,7 @@ from weakiasi.cli import (
     EXIT_VERIFY,
     export_dot,
     main,
+    run_sweep,
 )
 from weakiasi.constructions import optimal_labeling
 from weakiasi.graph_core import Graph, complete_graph, cycle_graph, path_graph
@@ -94,6 +95,20 @@ class TestSparing:
         from weakiasi.sparing import oracle_bound_default
         assert oracle_bound_default() == 6
 
+    def test_negative_oracle_bound_is_usage_error(self, graphs, tmp_path):
+        code = main(["sparing", "--graph", graphs["k4"], "--oracle-bound", "-1",
+                     "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("env", ["abc", "-1"])
+    def test_bad_oracle_bound_env_is_parse_error(self, graphs, tmp_path,
+                                                 monkeypatch, capsys, env):
+        monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", env)
+        code = main(["sparing", "--graph", graphs["k4"],
+                     "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_PARSE
+        assert "WEAKIASI_ORACLE_BOUND" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_duplicate_vertex_label_exits_4(self, graphs, tmp_path):
@@ -168,6 +183,10 @@ class TestDot:
 
 
 class TestSweep:
+    def test_sweep_passes_its_bound_to_factor_labelings(self, monkeypatch):
+        monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", "3")
+        assert run_sweep(oracle_bound=24)["all_passed"]
+
     def test_sweep_reports_corona_gap(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(["sweep", "--oracle-bound", "32", "--out", str(out)])

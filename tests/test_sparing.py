@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakiasi.constructions import LabelPlan, assign_concrete_sets
 from weakiasi.graph_core import (
@@ -38,6 +40,23 @@ def random_graph(rng, n, p=0.4):
         touched = {x for e in edges for x in e}
         if len(touched) == n:
             return Graph(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    """Graphs on 0..max_n vertices. Edges fall at random, at one of three
+    densities, inside one to three interleaved vertex classes, so several
+    components are common, and up to two chosen vertices stay isolated."""
+    n = draw(st.integers(0, max_n))
+    classes = draw(st.integers(1, 3))
+    part = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+    isolated = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2 if n else 0))
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if part[u] == part[v] and not {u, v} & isolated]
+    density = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [e for e in pairs if rng.random() < density],
+                 allow_isolated=True)
 
 
 def check_witness(g, result):
@@ -80,6 +99,29 @@ class TestExactOracle:
             assert fast.value == slow.value
             assert fast.witness == slow.witness  # same lexicographic tie-break
             check_witness(g, fast)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_agrees_with_brute_force_property(self, g):
+        fast = sparing_exact(g)
+        slow = sparing_brute_force(g)
+        assert (fast.value, fast.witness) == (slow.value, slow.witness)
+
+    @pytest.mark.parametrize("g, value", [(path_graph(40), 0), (cycle_graph(41), 1)])
+    def test_long_path_and_odd_cycle(self, g, value):
+        res = sparing_exact(g, oracle_bound=64)
+        assert res.value == value
+        assert res.witness == tuple(range(0, 40, 2))
+
+    def test_node_count_on_long_path(self):
+        # A node count guards the pruning bound on any hardware, where a
+        # timing test could not; P40 needs 251 nodes.
+        assert sparing_exact(path_graph(40), oracle_bound=64).nodes < 1000
+
+    def test_node_count_is_not_serialized(self):
+        res = sparing_exact(cycle_graph(5))
+        assert res.nodes > 0
+        assert "nodes" not in res.to_json_dict()
 
     def test_agrees_with_brute_force_on_families(self):
         for g in FAMILIES:

@@ -3,8 +3,9 @@
 
 Each planner lifts optimal factor labelings to a concrete plan on the
 product: an independent set of vertices that may carry non-singleton sets.
-assign_concrete_sets then picks actual integer sets (singletons from a
-Sidon sequence, non-singletons as shifted blocks) so the verifier passes.
+assign_concrete_sets then picks actual integer sets (singletons from the
+Erdos-Turan Sidon set 2pk + (k^2 mod p), non-singletons as shifted blocks)
+so the verifier passes.
 """
 
 from weakiasi import (

@@ -204,7 +204,7 @@ def _matching_formula(g):
     """Closed-form value when the graph is a recognized special family."""
     if g.n >= 1 and g.m == g.n * (g.n - 1) // 2:
         return sparing.sparing_formula_complete(g.n)
-    if g.n >= 3 and g.m == g.n and all(len(g.neighbors(v)) == 2 for v in range(g.n)):
+    if g.n >= 3 and g.m == g.n and all(len(nbrs) == 2 for nbrs in g.adjacency()):
         if g.is_connected():
             return sparing.sparing_formula_cycle(g.n)
     return None

@@ -7,8 +7,13 @@ construction (conflicting designations are demoted to singleton and
 flagged). Concrete sets are then filled in by assign_concrete_sets, which
 guarantees the injectivity conditions regardless of which plan it is given:
 
-  * singleton values come from a Sidon sequence (Mian-Chowla), so
-    singleton-singleton edge sums are pairwise distinct;
+  * singleton values form a Sidon set (all pairwise sums, doubles
+    included, are distinct), so singleton-singleton edge sums are pairwise
+    distinct. Nothing else about the values is used, so any Sidon set of
+    non-negative integers serves; the Erdos-Turan set 2pk + (k^2 mod p),
+    with p the least prime >= the singleton count, is built in linear time
+    and stays below 2p^2 (mian_chowla keeps the greedy sequence as a
+    reference);
   * each non-singleton vertex gets a block of consecutive integers placed
     above all singleton pairwise sums, one block per vertex with gaps wide
     enough that shifted blocks from different vertices can never coincide.
@@ -17,6 +22,7 @@ guarantees the injectivity conditions regardless of which plan it is given:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .graph_core import (
@@ -238,30 +244,53 @@ def mian_chowla(count):
     """First `count` terms of the Mian-Chowla Sidon sequence (1, 2, 5, ...).
 
     Greedy: each term is the smallest integer keeping all pairwise sums
-    (including doubles) distinct. The cache is append-only.
+    (including doubles) distinct; a candidate is dropped at its first
+    colliding sum. The cache is append-only.
     """
     seq, sums = _MIAN_CHOWLA_CACHE, _MIAN_CHOWLA_SUMS
     while len(seq) < count:
         candidate = seq[-1] + 1
         while True:
-            new_sums = {candidate + x for x in seq}
-            new_sums.add(2 * candidate)
-            if len(new_sums) == len(seq) + 1 and not (new_sums & sums):
+            new_sums = []
+            for x in seq:
+                s = candidate + x
+                if s in sums:
+                    break
+                new_sums.append(s)
+            else:
+                # Sums with earlier terms are distinct from each other, and
+                # the double 2 * candidate exceeds every sum already made.
                 break
             candidate += 1
         seq.append(candidate)
-        sums |= new_sums
+        sums.update(new_sums)
+        sums.add(2 * candidate)
     return list(seq[:count])
+
+
+def _erdos_turan(count):
+    """Erdos-Turan Sidon set: 2pk + (k^2 mod p) for k < count, with p the
+    least prime >= max(count, 2). Increasing, and below 2p^2.
+
+    Equal pair sums force equal k-sums (each residue is below p) and then
+    equal k^2-sums mod p, so the two pairs are the roots of one quadratic
+    mod p and coincide (p = 2 only arises for at most two terms).
+    """
+    p = max(count, 2)
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return [2 * p * k + k * k % p for k in range(count)]
 
 
 def assign_concrete_sets(g, plan, sizes=None):
     """Turn a plan into an actual labeling that passes verify_weak_iasi.
 
     sizes optionally maps non-singleton vertices to their label size
-    (default 2, minimum 2). Singletons take distinct Sidon values; each
-    non-singleton vertex gets its own block of consecutive integers above
-    every singleton pairwise sum, blocks spaced so that singleton-shifted
-    copies of different blocks stay disjoint.
+    (default 2, minimum 2). Singletons take the Erdos-Turan Sidon values
+    in ascending vertex order; each non-singleton vertex gets its own block
+    of consecutive integers above every singleton pairwise sum, blocks
+    spaced so that singleton-shifted copies of different blocks stay
+    disjoint.
     """
     non_singleton = set(plan.non_singleton)
     if any(not 0 <= v < g.n for v in non_singleton):
@@ -276,10 +305,10 @@ def assign_concrete_sets(g, plan, sizes=None):
             raise PlanError(f"non-singleton size for vertex {v} must be >= 2")
 
     singles = [v for v in range(g.n) if v not in non_singleton]
-    sidon = mian_chowla(max(len(singles), 1))
-    labels = {v: IntegerSet([sidon[k]]) for k, v in enumerate(singles)}
+    sidon = _erdos_turan(len(singles))
+    labels = {v: IntegerSet([x]) for v, x in zip(singles, sidon)}
 
-    max_single = sidon[len(singles) - 1] if singles else 0
+    max_single = sidon[-1] if singles else 0
     span = max([sizes.get(v, 2) for v in non_singleton], default=2)
     base = 2 * max_single + 1  # above every singleton pairwise sum
     stride = base + span + 1   # shifted blocks of distinct vertices disjoint

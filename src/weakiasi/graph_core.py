@@ -11,6 +11,7 @@ their own vertex maps because their vertex sets are not full grids.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -32,13 +33,25 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __init__(self, n, edges=(), allow_isolated=False):
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
+        # bool is a subclass of int, so JSON true would pass isinstance.
+        if type(n) is not int or n < 0:
+            raise GraphError(f"vertex count must be a non-negative integer, got {n!r}")
         norm = set()
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not a pair of vertices") from None
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge {e!r} has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-            norm.add(_normalize_edge(u, v))
+            if u < v:
+                norm.add((u, v))
+            elif v < u:
+                norm.add((v, u))
+            else:
+                raise GraphError(f"self-loop at vertex {u}")
         if not allow_isolated:
             touched = {w for e in norm for w in e}
             isolated = [v for v in range(n) if v not in touched]
@@ -117,10 +130,11 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d, allow_isolated=False):
         try:
-            n = d["n"]
-            edges = [tuple(e) for e in d["edges"]]
+            n, edges = d["n"], d["edges"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad graph JSON: {exc}")
+        if not isinstance(edges, list):
+            raise GraphError("bad graph JSON: edges must be a list")
         return cls(n, edges, allow_isolated=allow_isolated)
 
     @classmethod
@@ -372,9 +386,9 @@ def is_bipartite(g):
         if color[s] != -1:
             continue
         color[s] = 0
-        queue = [s]
+        queue = deque([s])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in adj[v]:
                 if color[w] == -1:
                     color[w] = 1 - color[v]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 
 class LabelError(ValueError):
@@ -101,8 +102,12 @@ class Labeling:
     def from_json_dict(cls, d, graph):
         try:
             raw = d["labels"]
+            # Checked before IntegerSet deduplicates: JSON true equals 1,
+            # so [1, true] would otherwise collapse to {1}.
+            if set(map(type, chain.from_iterable(raw.values()))) - {int}:
+                raise LabelError("label elements must be integers")
             labels = {int(v): IntegerSet(s) for v, s in raw.items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise LabelError(f"bad labeling JSON: {exc}")
         return cls(graph, labels)
 

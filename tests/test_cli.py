@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -198,3 +201,56 @@ class TestSweep:
         assert cases["C4 (.) K2"]["exact"] == 4
         err = capsys.readouterr().err
         assert "DISCREPANCY C4 (.) K2" in err
+
+
+def run_module(*args):
+    """Run `python -m weakiasi` in a fresh interpreter, as a user would."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "weakiasi", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestModuleEntryPoint:
+    def test_help(self):
+        proc = run_module("--help")
+        assert proc.returncode == EXIT_OK
+        assert "usage: weakiasi" in proc.stdout
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize("graph", [
+        {"n": "3", "edges": [[0, 1], [1, 2]]},
+        {"n": 3, "edges": [[0, 1], [1, 2.0]]},
+        {"n": 3, "edges": [[0, 1], [1, 2, 0]]},
+        {"n": 3, "edges": [[0, True], [1, 2]]},
+    ], ids=["string-n", "float-endpoint", "three-element-edge", "bool-vertex"])
+    def test_malformed_graph_is_parse_error(self, tmp_path, graph):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(graph))
+        proc = run_module("sparing", "--graph", str(p))
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("label", [[True], [1, True]], ids=["true", "one-and-true"])
+    def test_bool_label_element_is_parse_error(self, graphs, tmp_path, label):
+        labels = tmp_path / "l.json"
+        labels.write_text(json.dumps(
+            {"labels": {"0": label, "1": [2], "2": [4], "3": [8]}}))
+        proc = run_module("verify", "--graph", graphs["c4"], "--labels", str(labels))
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+
+
+class TestLargeProduct:
+    def test_c60_box_c60(self, tmp_path):
+        c60 = tmp_path / "c60.json"
+        c60.write_text(cycle_graph(60).to_json())
+        out = tmp_path / "lab.json"
+        code = main(["label", "--op", "cartesian", "--g1", str(c60), "--g2", str(c60),
+                     "--oracle-bound", "64", "--out", str(out)])
+        assert code == EXIT_OK
+        payload = read(out)
+        assert payload["report"]["passed"]
+        assert len(payload["plan"]["non_singleton"]) == 1800
+        assert payload["report"]["mono_edge_count"] == 0

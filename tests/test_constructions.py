@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_sparing import graphs
 
 from weakiasi.constructions import (
     LabelPlan,
@@ -17,6 +20,7 @@ from weakiasi.constructions import (
     plan_strong,
 )
 from weakiasi.graph_core import (
+    Graph,
     cartesian_product,
     complete_graph,
     corona,
@@ -54,6 +58,24 @@ def assert_independent(g, vertices):
         assert not g.has_edge(u, v)
 
 
+def is_sidon(values):
+    sums = [a + b for a, b in itertools.combinations_with_replacement(values, 2)]
+    return len(sums) == len(set(sums))
+
+
+def naive_mian_chowla(count):
+    """The greedy from its definition: try each candidate's full sum set."""
+    seq, sums = [], set()
+    candidate = 1
+    while len(seq) < count:
+        new_sums = {candidate + x for x in seq + [candidate]}
+        if len(new_sums) == len(seq) + 1 and not new_sums & sums:
+            seq.append(candidate)
+            sums |= new_sums
+        candidate += 1
+    return seq
+
+
 class TestMianChowla:
     def test_known_prefix(self):
         assert mian_chowla(8) == [1, 2, 4, 8, 13, 21, 31, 45]
@@ -62,6 +84,9 @@ class TestMianChowla:
         seq = mian_chowla(20)
         sums = [a + b for a, b in itertools.combinations_with_replacement(seq, 2)]
         assert len(sums) == len(set(sums))
+
+    def test_matches_naive_reference(self):
+        assert mian_chowla(120) == naive_mian_chowla(120)
 
 
 class TestAssignConcreteSets:
@@ -87,6 +112,30 @@ class TestAssignConcreteSets:
         g = path_graph(2)
         with pytest.raises(PlanError):
             assign_concrete_sets(g, LabelPlan(frozenset({0, 1}), "test"))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 128, 400])
+    def test_singleton_values_form_a_sidon_set(self, count):
+        g = Graph(count, [], allow_isolated=True)
+        lab = assign_concrete_sets(g, LabelPlan(frozenset(), "test"))
+        values = [lab[v].elements[0] for v in range(count)]
+        assert values == sorted(set(values))
+        assert is_sidon(values)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_random_independent_plans_verify(self, g, rng):
+        adj = g.adjacency()
+        order = list(range(g.n))
+        rng.shuffle(order)
+        plan = set()
+        for v in order:
+            if rng.random() < 0.5 and not adj[v] & plan:
+                plan.add(v)
+        lab, rep = build_labeling(g, LabelPlan(frozenset(plan), "test"))
+        assert rep.passed
+        assert lab.non_singleton_vertices() == plan
+        assert rep.mono_edge_count == sum(1 for e in g.edges if not set(e) & plan)
+        assert is_sidon([lab[v].elements[0] for v in range(g.n) if v not in plan])
 
     def test_custom_sizes(self):
         g = cycle_graph(4)

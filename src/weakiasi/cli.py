@@ -350,7 +350,7 @@ def build_parser():
                     "and exact sparing numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, pair=False, labels=False):
+    def common(p, graph=False, pair=False, labels=False, dot=False):
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
         if pair:
@@ -363,20 +363,19 @@ def build_parser():
         if labels:
             p.add_argument("--labels", default=None, help="labeling JSON file")
         p.add_argument("--out", default=None, help="output JSON path (default stdout)")
-        p.add_argument("--dot", default=None, help="also write a DOT file here")
+        if dot:
+            p.add_argument("--dot", default=None, help="also write a DOT file here")
         p.add_argument("--oracle-bound", type=int, default=None,
                        help="max vertices for the exact oracle (default: "
                             f"${sparing.ORACLE_BOUND_ENV} or {sparing.DEFAULT_ORACLE_BOUND})")
         p.add_argument("--allow-isolated", action="store_true",
                        help="accept graphs with isolated vertices")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweep cases")
 
     p_build = sub.add_parser("build", help="construct a graph product")
-    common(p_build, pair=True)
+    common(p_build, pair=True, dot=True)
 
     p_label = sub.add_parser("label", help="plan and assign a weak IASI")
-    common(p_label, labels=True)
+    common(p_label, labels=True, dot=True)
     p_label.add_argument("--graph", default=None, help="graph JSON (no product)")
     p_label.add_argument("--g1", default=None)
     p_label.add_argument("--g2", default=None)
@@ -386,13 +385,15 @@ def build_parser():
                          help="second factor labeling (corona/rooted)")
 
     p_verify = sub.add_parser("verify", help="verify a labeling")
-    common(p_verify, graph=True, labels=True)
+    common(p_verify, graph=True, labels=True, dot=True)
 
     p_sparing = sub.add_parser("sparing", help="exact sparing number")
     common(p_sparing, graph=True)
 
     p_sweep = sub.add_parser("sweep", help="run the small-graph property suite")
     common(p_sweep)
+    p_sweep.add_argument("--seed", type=int, default=0,
+                         help="seed for randomized sweep cases")
     return parser
 
 

@@ -72,15 +72,6 @@ class Graph:
     def has_edge(self, u, v):
         return _normalize_edge(u, v) in self.edges if u != v else False
 
-    def neighbors(self, v):
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def adjacency(self):
         """Neighbor sets for all vertices, computed in one pass."""
         adj = [set() for _ in range(self.n)]
@@ -88,9 +79,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def degree(self, v):
-        return len(self.neighbors(v))
 
     def induced_subgraph(self, vertices):
         """Induced subgraph on the given vertices, relabeled 0..k-1.

@@ -159,31 +159,51 @@ def mono_indexed_stats(g, labeling):
     return r, len(mono_edges), mono_edges
 
 
-def _injectivity_violations(g, labeling):
-    violations = []
+def _verify(g, labeling, weak):
+    """Both verifiers in one pass over g's sorted edges.
+
+    Each edge's sumset is built once, as a sorted tuple, and only groups
+    of two or more vertices or edges are sorted. Per-edge weak-condition
+    violations are reported only when weak is true.
+    """
+    if g.n != labeling.graph.n or not g.edges <= labeling.graph.edges:
+        raise LabelError("the labeling was made for a different graph")
+    sets = [labeling.labels[v].elements for v in range(g.n)]
     by_label = {}
-    for v in range(g.n):
-        by_label.setdefault(labeling[v].elements, []).append(v)
-    for elems, verts in sorted(by_label.items()):
-        if len(verts) > 1:
-            violations.append(("duplicate-vertex-label", tuple(verts)))
-    by_edge_label = {}
+    for v, s in enumerate(sets):
+        by_label.setdefault(s, []).append(v)
+    by_sum = {}
+    edge_violations = []
+    mono_edges = []
     for e in g.sorted_edges():
-        by_edge_label.setdefault(labeling.edge_label(*e).elements, []).append(e)
-    for elems, es in sorted(by_edge_label.items()):
-        if len(es) > 1:
-            witness = tuple(x for e in es for x in e)
-            violations.append(("duplicate-edge-label", witness))
-    return violations
-
-
-def _report(g, labeling, violations):
-    r, mono_count, mono_edges = mono_indexed_stats(g, labeling)
+        a, b = sets[e[0]], sets[e[1]]
+        la, lb = len(a), len(b)
+        if la == 1 and lb == 1:
+            key = (a[0] + b[0],)
+            mono_edges.append(e)
+        elif la == 1:
+            s = a[0]
+            key = tuple(x + s for x in b)
+        elif lb == 1:
+            s = b[0]
+            key = tuple(x + s for x in a)
+        else:
+            key = tuple(sorted({x + y for x in a for y in b}))
+            edge_violations.append(("adjacent-non-singletons", e))
+        if len(key) != max(la, lb):
+            edge_violations.append(("weak-condition-failed", e))
+        by_sum.setdefault(key, []).append(e)
+    violations = [("duplicate-vertex-label", tuple(vs))
+                  for _, vs in sorted(kv for kv in by_label.items() if len(kv[1]) > 1)]
+    violations += [("duplicate-edge-label", tuple(x for e in es for x in e))
+                   for _, es in sorted(kv for kv in by_sum.items() if len(kv[1]) > 1)]
+    if weak:
+        violations += edge_violations
     return VerificationReport(
         passed=not violations,
         violations=tuple(violations),
-        mono_vertex_count=r,
-        mono_edge_count=mono_count,
+        mono_vertex_count=sum(len(s) == 1 for s in sets),
+        mono_edge_count=len(mono_edges),
         mono_edges=tuple(mono_edges),
     )
 
@@ -191,26 +211,23 @@ def _report(g, labeling, violations):
 def verify_iasi(g, labeling):
     """Check both injectivity conditions: distinct vertex labels and
     distinct induced edge labels."""
-    return _report(g, labeling, _injectivity_violations(g, labeling))
+    return _verify(g, labeling, weak=False)
 
 
 def verify_weak_iasi(g, labeling):
-    """Check the full weak-IASI condition.
+    """Check the full weak-IASI condition in one pass over the edges.
 
     Passes when the labeling is an IASI and every edge label's cardinality
     equals the max of its endpoint cardinalities. Edges whose endpoints are
     both non-singleton are reported as structural certificates: for integer
     sets |A+B| >= |A|+|B|-1, so such an edge can never satisfy the weak
-    condition.
+    condition, and weak-condition-failed fires on exactly the edges that
+    adjacent-non-singletons names. Both are still checked per edge.
+
+    Raises LabelError when the labeling was made for a graph with another
+    vertex count or without one of g's edges.
     """
-    violations = _injectivity_violations(g, labeling)
-    for u, v in g.sorted_edges():
-        a, b = labeling[u], labeling[v]
-        if len(a) > 1 and len(b) > 1:
-            violations.append(("adjacent-non-singletons", (u, v)))
-        if len(labeling.edge_label(u, v)) != max(len(a), len(b)):
-            violations.append(("weak-condition-failed", (u, v)))
-    return _report(g, labeling, violations)
+    return _verify(g, labeling, weak=True)
 
 
 def restrict_labeling(labeling, subgraph, old_ids):

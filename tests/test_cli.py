@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,8 +16,14 @@ from weakiasi.cli import (
     main,
     run_sweep,
 )
-from weakiasi.constructions import optimal_labeling
-from weakiasi.graph_core import Graph, complete_graph, cycle_graph, path_graph
+from weakiasi.constructions import LabelPlan, assign_concrete_sets, optimal_labeling
+from weakiasi.graph_core import (
+    Graph,
+    cartesian_product,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from weakiasi.set_label import IntegerSet, Labeling
 
 
@@ -203,6 +210,29 @@ class TestSweep:
         assert "DISCREPANCY C4 (.) K2" in err
 
 
+class TestUnusedFlags:
+    def test_build_rejects_seed(self, graphs, tmp_path):
+        code = main(["build", "--op", "cartesian", "--g1", graphs["p2"],
+                     "--g2", graphs["p3"], "--out", str(tmp_path / "x.json"),
+                     "--seed", "9"])
+        assert code == EXIT_USAGE
+
+    def test_sparing_rejects_dot(self, graphs, tmp_path):
+        code = main(["sparing", "--graph", graphs["k4"], "--out", str(tmp_path / "s.json"),
+                     "--dot", str(tmp_path / "x.dot")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.dot").exists()
+
+    def test_sweep_seed_0_output_is_pinned(self, tmp_path):
+        pins = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected.json")
+        with open(pins) as fh:
+            want = json.load(fh)["sweep"]["seed0_sha256"]
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--oracle-bound", "24", "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def run_module(*args):
     """Run `python -m weakiasi` in a fresh interpreter, as a user would."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -254,3 +284,24 @@ class TestLargeProduct:
         assert payload["report"]["passed"]
         assert len(payload["plan"]["non_singleton"]) == 1800
         assert payload["report"]["mono_edge_count"] == 0
+
+    def test_verify_c100_box_c100(self, tmp_path):
+        c100 = cycle_graph(100)
+        g, _ = cartesian_product(c100, c100)
+        plan = LabelPlan(frozenset(v for v in range(g.n) if (v // 100 + v) % 2), "parity")
+        lab = assign_concrete_sets(g, plan)
+        graph, labels = tmp_path / "g.json", tmp_path / "l.json"
+        graph.write_text(g.to_json())
+        labels.write_text(lab.to_json())
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--graph", str(graph), "--labels", str(labels),
+                     "--out", str(out)]) == EXIT_OK
+        report = read(out)
+        assert report["passed"] and report["mono_vertex_count"] == 5000
+        # corrupted copy: vertex 1 takes vertex 0's label
+        payload = lab.to_json_dict()
+        payload["labels"]["1"] = payload["labels"]["0"]
+        labels.write_text(json.dumps(payload))
+        assert main(["verify", "--graph", str(graph), "--labels", str(labels),
+                     "--out", str(out)]) == EXIT_VERIFY
+        assert ["duplicate-vertex-label", [0, 1]] in read(out)["violations"]

@@ -1,7 +1,8 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_sparing import graphs
 
 from weakiasi.graph_core import (
     Graph,
@@ -16,6 +17,7 @@ from weakiasi.set_label import (
     IntegerSet,
     LabelError,
     Labeling,
+    VerificationReport,
     is_k_uniform,
     mono_indexed_stats,
     restrict_labeling,
@@ -162,6 +164,63 @@ class TestVerifyWeakIasi:
                      ([1, 2], [3, 4], [5], [6])]:
             rep = verify_weak_iasi(g, L(g, *sets))
             assert rep.passed == (len(rep.violations) == 0)
+
+
+def reference_report(g, labeling, weak):
+    """The verifiers written naively: one sumset per edge, every label
+    group sorted, and the mono counts from mono_indexed_stats."""
+    violations = []
+    by_label = {}
+    for v in range(g.n):
+        by_label.setdefault(labeling[v].elements, []).append(v)
+    for _, verts in sorted(by_label.items()):
+        if len(verts) > 1:
+            violations.append(("duplicate-vertex-label", tuple(verts)))
+    edge_labels = {(u, v): sumset(labeling[u], labeling[v]) for u, v in g.sorted_edges()}
+    by_edge_label = {}
+    for e, s in edge_labels.items():
+        by_edge_label.setdefault(s.elements, []).append(e)
+    for _, es in sorted(by_edge_label.items()):
+        if len(es) > 1:
+            violations.append(("duplicate-edge-label", tuple(x for e in es for x in e)))
+    if weak:
+        for (u, v), s in edge_labels.items():
+            a, b = labeling[u], labeling[v]
+            if len(a) > 1 and len(b) > 1:
+                violations.append(("adjacent-non-singletons", (u, v)))
+            if len(s) != max(len(a), len(b)):
+                violations.append(("weak-condition-failed", (u, v)))
+    r, mono_count, mono_edges = mono_indexed_stats(g, labeling)
+    return VerificationReport(not violations, tuple(violations), r, mono_count,
+                              tuple(mono_edges))
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Small graphs with labels of 1-3 elements from range(12), so duplicate
+    vertex labels, colliding edge sums and adjacent non-singletons occur."""
+    g = draw(graphs(max_n=12))
+    sets = draw(st.lists(st.sets(st.integers(0, 11), min_size=1, max_size=3),
+                         min_size=g.n, max_size=g.n))
+    return g, Labeling(g, dict(enumerate(sets)))
+
+
+class TestVerifierAgainstReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(labeled_graphs())
+    def test_reports_match_reference(self, case):
+        g, lab = case
+        assert verify_weak_iasi(g, lab) == reference_report(g, lab, weak=True)
+        assert verify_iasi(g, lab) == reference_report(g, lab, weak=False)
+
+    @pytest.mark.parametrize("labeled", [Graph(3, [(0, 1)], allow_isolated=True),
+                                         path_graph(4)],
+                             ids=["missing-edge", "other-vertex-count"])
+    def test_labeling_of_another_graph_is_rejected(self, labeled):
+        lab = Labeling(labeled, {v: IntegerSet([v]) for v in range(labeled.n)})
+        for verify in (verify_weak_iasi, verify_iasi):
+            with pytest.raises(LabelError):
+                verify(path_graph(3), lab)
 
 
 class TestStatsAndUniformity:

@@ -2,10 +2,10 @@
 """Corona products: closed formula vs exact oracle vs construction.
 
 A widely quoted closed formula for the sparing number of a corona product
-g1 (.) g2 is r1*(1 + r2) + (n1 - r1)*m2, where r_i counts non-singleton
-vertices in an optimal labeling of factor i and m2 = |E(g2)|. The sweep
-below shows it disagrees with the exact oracle in both directions, while
-the construction cost obeys the exact identity
+g1 (.) g2 is r1*(1 + r2) + (n1 - r1)*m2, where r_i counts singleton
+(mono-indexed) vertices in an optimal labeling of factor i and
+m2 = |E(g2)|. The sweep below shows it disagrees with the exact oracle in
+both directions, while the construction cost obeys the exact identity
 
     construction mono = formula + e1 + r1*e2 - r1
 

@@ -16,7 +16,7 @@ import sys
 
 from . import constructions, graph_core, sparing
 from .graph_core import Graph, GraphError
-from .set_label import LabelError, Labeling, verify_weak_iasi
+from .set_label import LabelError, Labeling, mono_indexed_stats, verify_weak_iasi
 from .sparing import CapacityError, SparingError
 
 EXIT_OK = 0
@@ -78,16 +78,6 @@ def _write_json(path, payload):
         sys.stdout.write(text)
 
 
-_PRODUCTS = {
-    "cartesian": graph_core.cartesian_product,
-    "direct": graph_core.direct_product,
-    "strong": graph_core.strong_product,
-    "lex": graph_core.lexicographic_product,
-    "corona": graph_core.corona,
-    "rooted": graph_core.rooted_product,
-}
-
-
 def _vmap_json(vmap):
     if isinstance(vmap, graph_core.ProductVertexMap):
         return {"kind": "grid", "n1": vmap.n1, "n2": vmap.n2,
@@ -101,20 +91,13 @@ def _vmap_json(vmap):
 
 
 def cmd_build(args):
+    g1 = _load_graph(args.g1, args.allow_isolated)
+    g2 = _load_graph(args.g2, args.allow_isolated)
     if args.op == "union":
-        g1 = _load_graph(args.g1, args.allow_isolated)
-        g2 = _load_graph(args.g2, args.allow_isolated)
         g = graph_core.disjoint_union(g1, g2)
         vmap_payload = {"kind": "union", "shift": g1.n}
     else:
-        g1 = _load_graph(args.g1, args.allow_isolated)
-        g2 = _load_graph(args.g2, args.allow_isolated)
-        if args.op == "rooted":
-            if args.root is None:
-                raise UsageError("--root is required for the rooted product")
-            g, vmap = _PRODUCTS[args.op](g1, g2, args.root)
-        else:
-            g, vmap = _PRODUCTS[args.op](g1, g2)
+        g, vmap = constructions.PRODUCT_OPS[args.op].build(g1, g2, args.root)
         vmap_payload = _vmap_json(vmap)
     payload = dict(g.to_json_dict())
     payload["vertex_map"] = vmap_payload
@@ -139,36 +122,15 @@ def cmd_label(args):
         labeling = _factor_labeling(g, args.labels, bound)
         plan = constructions.LabelPlan(
             frozenset(labeling.non_singleton_vertices()), "oracle-witness")
-        labeling = constructions.assign_concrete_sets(g, plan)
     else:
+        op = constructions.PRODUCT_OPS[args.op]
         g1 = _load_graph(args.g1, args.allow_isolated)
         g2 = _load_graph(args.g2, args.allow_isolated)
-        if args.op == "cartesian":
-            g, _ = graph_core.cartesian_product(g1, g2)
-            plan = constructions.plan_cartesian(g1, _factor_labeling(g1, args.labels, bound), g2)
-        elif args.op == "direct":
-            g, _ = graph_core.direct_product(g1, g2)
-            plan = constructions.plan_direct(g1, _factor_labeling(g1, args.labels, bound), g2)
-        elif args.op == "strong":
-            g, _ = graph_core.strong_product(g1, g2)
-            plan = constructions.plan_strong(g1, _factor_labeling(g1, args.labels, bound), g2)
-        elif args.op == "lex":
-            g, _ = graph_core.lexicographic_product(g1, g2)
-            plan = constructions.plan_lexicographic(g1, g2, _factor_labeling(g2, args.labels, bound))
-        elif args.op == "corona":
-            g, _ = graph_core.corona(g1, g2)
-            plan = constructions.plan_corona(
-                g1, _factor_labeling(g1, args.labels, bound),
-                g2, _factor_labeling(g2, args.labels2, bound))
-        elif args.op == "rooted":
-            if args.root is None:
-                raise UsageError("--root is required for the rooted product")
-            g, _ = graph_core.rooted_product(g1, g2, args.root)
-            plan = constructions.plan_rooted(
-                g1, _factor_labeling(g1, args.labels, bound),
-                g2, _factor_labeling(g2, args.labels2, bound), args.root)
-        else:
-            raise UsageError(f"cannot label product kind {args.op!r}")
+        g, _ = op.build(g1, g2, args.root)
+        # --labels is the first factor labeling the planner reads, --labels2 the second.
+        labelings = {i: _factor_labeling((g1, g2)[i - 1], path, bound)
+                     for i, path in zip(op.reads, (args.labels, args.labels2))}
+        plan = op.plan(g1, labelings.get(1), g2, labelings.get(2), args.root)
     labeling, report = constructions.build_labeling(g, plan)
     payload = {
         "graph": g.to_json_dict(),
@@ -245,22 +207,9 @@ def run_sweep(oracle_bound=None, seed=0):
         l1 = optimal[name1]
         for name2, g2 in families.items():
             l2 = optimal[name2]
-            cases = [
-                ("cartesian", lambda: (graph_core.cartesian_product(g1, g2)[0],
-                                       constructions.plan_cartesian(g1, l1, g2))),
-                ("direct", lambda: (graph_core.direct_product(g1, g2)[0],
-                                    constructions.plan_direct(g1, l1, g2))),
-                ("strong", lambda: (graph_core.strong_product(g1, g2)[0],
-                                    constructions.plan_strong(g1, l1, g2))),
-                ("lex", lambda: (graph_core.lexicographic_product(g1, g2)[0],
-                                 constructions.plan_lexicographic(g1, g2, l2))),
-                ("corona", lambda: (graph_core.corona(g1, g2)[0],
-                                    constructions.plan_corona(g1, l1, g2, l2))),
-                ("rooted", lambda: (graph_core.rooted_product(g1, g2, 0)[0],
-                                    constructions.plan_rooted(g1, l1, g2, l2, 0))),
-            ]
-            for op, make in cases:
-                product, plan = make()
+            for op, spec in constructions.PRODUCT_OPS.items():
+                product, _ = spec.build(g1, g2, 0)
+                plan = spec.plan(g1, l1, g2, l2, 0)
                 labeling, report = constructions.build_labeling(product, plan)
                 row = {
                     "g1": name1, "g2": name2, "op": op,
@@ -269,8 +218,8 @@ def run_sweep(oracle_bound=None, seed=0):
                     "mono_edges": report.mono_edge_count,
                 }
                 if op == "corona":
-                    r1 = sum(1 for v in range(g1.n) if l1[v].is_singleton())
-                    r2 = sum(1 for v in range(g2.n) if l2[v].is_singleton())
+                    r1, _, _ = mono_indexed_stats(g1, l1)
+                    r2, _, _ = mono_indexed_stats(g2, l2)
                     formula = sparing.sparing_formula_corona(g1.n, g2.m, r1, r2)
                     row["formula"] = formula
                     if product.n <= bound:
@@ -350,39 +299,40 @@ def build_parser():
                     "and exact sparing numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, pair=False, labels=False, dot=False):
+    def common(p, graph=False, labels=False, dot=False, oracle_bound=True,
+               isolated=True):
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
-        if pair:
-            p.add_argument("--g1", required=True, help="first factor JSON file")
-            p.add_argument("--g2", required=True, help="second factor JSON file")
-            p.add_argument("--op", required=True,
-                           choices=[*_PRODUCTS, "union"], help="product kind")
-            p.add_argument("--root", type=int, default=None,
-                           help="root vertex of g2 (rooted product)")
         if labels:
             p.add_argument("--labels", default=None, help="labeling JSON file")
         p.add_argument("--out", default=None, help="output JSON path (default stdout)")
         if dot:
             p.add_argument("--dot", default=None, help="also write a DOT file here")
-        p.add_argument("--oracle-bound", type=int, default=None,
-                       help="max vertices for the exact oracle (default: "
-                            f"${sparing.ORACLE_BOUND_ENV} or {sparing.DEFAULT_ORACLE_BOUND})")
-        p.add_argument("--allow-isolated", action="store_true",
-                       help="accept graphs with isolated vertices")
+        if oracle_bound:
+            p.add_argument("--oracle-bound", type=int, default=None,
+                           help="max vertices for the exact oracle (default: "
+                                f"${sparing.ORACLE_BOUND_ENV} or {sparing.DEFAULT_ORACLE_BOUND})")
+        if isolated:
+            p.add_argument("--allow-isolated", action="store_true",
+                           help="accept graphs with isolated vertices")
+
+    def factors(p, ops, required):
+        p.add_argument("--g1", required=required, help="first factor JSON file")
+        p.add_argument("--g2", required=required, help="second factor JSON file")
+        p.add_argument("--op", required=required, choices=ops, help="product kind")
+        p.add_argument("--root", type=int, default=None,
+                       help="root vertex of g2 (rooted product only)")
 
     p_build = sub.add_parser("build", help="construct a graph product")
-    common(p_build, pair=True, dot=True)
+    common(p_build, dot=True, oracle_bound=False)
+    factors(p_build, [*constructions.PRODUCT_OPS, "union"], required=True)
 
     p_label = sub.add_parser("label", help="plan and assign a weak IASI")
     common(p_label, labels=True, dot=True)
     p_label.add_argument("--graph", default=None, help="graph JSON (no product)")
-    p_label.add_argument("--g1", default=None)
-    p_label.add_argument("--g2", default=None)
-    p_label.add_argument("--op", default=None, choices=list(_PRODUCTS))
-    p_label.add_argument("--root", type=int, default=None)
+    factors(p_label, list(constructions.PRODUCT_OPS), required=False)
     p_label.add_argument("--labels2", default=None,
-                         help="second factor labeling (corona/rooted)")
+                         help="second factor labeling (ops that read both)")
 
     p_verify = sub.add_parser("verify", help="verify a labeling")
     common(p_verify, graph=True, labels=True, dot=True)
@@ -391,7 +341,7 @@ def build_parser():
     common(p_sparing, graph=True)
 
     p_sweep = sub.add_parser("sweep", help="run the small-graph property suite")
-    common(p_sweep)
+    common(p_sweep, isolated=False)
     p_sweep.add_argument("--seed", type=int, default=0,
                          help="seed for randomized sweep cases")
     return parser
@@ -406,6 +356,27 @@ _HANDLERS = {
 }
 
 
+def _check_args(args):
+    """Usage errors argparse cannot express; the --root and --labels2 rules
+    come from constructions.PRODUCT_OPS."""
+    if getattr(args, "oracle_bound", None) is not None and args.oracle_bound < 0:
+        raise UsageError("--oracle-bound must be a non-negative integer")
+    if args.command not in ("build", "label"):
+        return
+    op = constructions.PRODUCT_OPS.get(args.op)
+    if args.command == "label":
+        product = (args.op, args.g1, args.g2)
+        if (any(product) if args.graph else not all(product)):
+            raise UsageError("label needs --graph, or --op with --g1 and --g2, not both")
+        if args.labels2 is not None and (op is None or len(op.reads) < 2):
+            raise UsageError("--labels2 applies only to ops that read both factor labelings")
+    rooted = op is not None and op.rooted
+    if rooted and args.root is None:
+        raise UsageError("--root is required for the rooted product")
+    if args.root is not None and not rooted:
+        raise UsageError("--root applies only to the rooted product")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -413,12 +384,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.oracle_bound is not None and args.oracle_bound < 0:
-            raise UsageError("--oracle-bound must be a non-negative integer")
-        if args.command == "label" and args.op is None and args.graph is None:
-            raise UsageError("label needs --graph or --op with --g1/--g2")
-        if args.command == "label" and args.op is not None and not (args.g1 and args.g2):
-            raise UsageError("label with --op needs --g1 and --g2")
+        _check_args(args)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_core import (
     CoronaVertexMap,
@@ -231,6 +232,38 @@ def plan_rooted(g1, l1, g2, l2, root):
     if plan.demoted:
         raise PlanError("rooted pattern unexpectedly conflicted")
     return plan
+
+
+# A NamedTuple, as a frozen dataclass would add about 1 ms to each CLI start.
+class ProductOp(NamedTuple):
+    """A product's builder, build(g1, g2, root) -> (graph, vertex map), its
+    planner, plan(g1, l1, g2, l2, root) -> LabelPlan, and the factors (1, 2)
+    whose labelings plan reads, in the order --labels and --labels2 give
+    them. Only a rooted op uses root; the others ignore it."""
+
+    build: object
+    plan: object
+    reads: tuple
+    rooted: bool = False
+
+
+# The lambdas look builders and planners up by module-global name at each
+# call, so a wrapper later installed on those names sees every call.
+PRODUCT_OPS = {
+    "cartesian": ProductOp(lambda g1, g2, r: cartesian_product(g1, g2),
+                           lambda g1, l1, g2, l2, r: plan_cartesian(g1, l1, g2), (1,)),
+    "direct": ProductOp(lambda g1, g2, r: direct_product(g1, g2),
+                        lambda g1, l1, g2, l2, r: plan_direct(g1, l1, g2), (1,)),
+    "strong": ProductOp(lambda g1, g2, r: strong_product(g1, g2),
+                        lambda g1, l1, g2, l2, r: plan_strong(g1, l1, g2), (1,)),
+    "lex": ProductOp(lambda g1, g2, r: lexicographic_product(g1, g2),
+                     lambda g1, l1, g2, l2, r: plan_lexicographic(g1, g2, l2), (2,)),
+    "corona": ProductOp(lambda g1, g2, r: corona(g1, g2),
+                        lambda g1, l1, g2, l2, r: plan_corona(g1, l1, g2, l2), (1, 2)),
+    "rooted": ProductOp(lambda g1, g2, r: rooted_product(g1, g2, r),
+                        lambda g1, l1, g2, l2, r: plan_rooted(g1, l1, g2, l2, r), (1, 2),
+                        rooted=True),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from weakiasi.cli import (
     main,
     run_sweep,
 )
-from weakiasi.constructions import LabelPlan, assign_concrete_sets, optimal_labeling
+from weakiasi.constructions import (
+    LabelPlan,
+    assign_concrete_sets,
+    optimal_labeling,
+    plan_corona,
+    plan_lexicographic,
+    plan_rooted,
+)
 from weakiasi.graph_core import (
     Graph,
     cartesian_product,
@@ -24,14 +31,18 @@ from weakiasi.graph_core import (
     cycle_graph,
     path_graph,
 )
-from weakiasi.set_label import IntegerSet, Labeling
+from weakiasi.set_label import IntegerSet, Labeling, mono_indexed_stats
+from weakiasi.sparing import sparing_formula_corona
+
+OPS = ["cartesian", "direct", "strong", "lex", "corona", "rooted"]
 
 
 @pytest.fixture
 def graphs(tmp_path):
     paths = {}
     for name, g in [("k4", complete_graph(4)), ("c4", cycle_graph(4)),
-                    ("p2", path_graph(2)), ("p3", path_graph(3))]:
+                    ("c5", cycle_graph(5)), ("p2", path_graph(2)),
+                    ("p3", path_graph(3))]:
         p = tmp_path / f"{name}.json"
         p.write_text(g.to_json())
         paths[name] = str(p)
@@ -197,6 +208,18 @@ class TestSweep:
         monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", "3")
         assert run_sweep(oracle_bound=24)["all_passed"]
 
+    def test_corona_r_counts_singleton_vertices(self):
+        # r_i is the number of singleton (mono-indexed) vertices: an optimal
+        # labeling of K4 has one non-singleton vertex, so r = 3, not 1.
+        k4 = complete_graph(4)
+        r, _, _ = mono_indexed_stats(k4, optimal_labeling(k4))
+        assert r == 3
+        assert sparing_formula_corona(4, k4.m, r, r) == 18
+        assert sparing_formula_corona(4, k4.m, 1, 1) == 20  # the non-singleton reading
+        row, = [row for row in run_sweep(oracle_bound=24)["cases"]
+                if (row["g1"], row["g2"], row["op"]) == ("K4", "K4", "corona")]
+        assert row["formula"] == 18
+
     def test_sweep_reports_corona_gap(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(["sweep", "--oracle-bound", "32", "--out", str(out)])
@@ -222,6 +245,63 @@ class TestUnusedFlags:
                      "--dot", str(tmp_path / "x.dot")])
         assert code == EXIT_USAGE
         assert not (tmp_path / "x.dot").exists()
+
+    def test_build_rejects_oracle_bound(self, graphs, tmp_path):
+        code = main(["build", "--op", "cartesian", "--g1", graphs["p2"],
+                     "--g2", graphs["p3"], "--out", str(tmp_path / "x.json"),
+                     "--oracle-bound", "5"])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
+    def test_sweep_rejects_allow_isolated(self, tmp_path):
+        code = main(["sweep", "--allow-isolated", "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("command, op", [
+        *[(command, op) for command in ("build", "label") for op in OPS if op != "rooted"],
+        ("build", "union")])
+    def test_root_only_on_rooted(self, graphs, tmp_path, capsys, command, op):
+        code = main([command, "--op", op, "--g1", graphs["c5"], "--g2", graphs["c4"],
+                     "--root", "0", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert "--root" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("extra", [["--root", "0"], ["--labels2", "c4"], ["--g1", "c5"],
+                                       ["--op", "cartesian", "--g1", "c5", "--g2", "c4"]],
+                             ids=["root", "labels2", "g1", "op"])
+    def test_label_graph_takes_no_product_flags(self, graphs, tmp_path, extra):
+        code = main(["label", "--graph", graphs["c4"], *[graphs.get(a, a) for a in extra],
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("op", ["cartesian", "direct", "strong", "lex"])
+    def test_labels2_needs_an_op_that_reads_both(self, graphs, tmp_path, capsys, op):
+        labels = tmp_path / "l.json"
+        labels.write_text(optimal_labeling(cycle_graph(4)).to_json())
+        code = main(["label", "--op", op, "--g1", graphs["c5"], "--g2", graphs["c4"],
+                     "--labels2", str(labels), "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert "--labels2" in capsys.readouterr().err
+
+    def test_label_rejects_missing_graph_with_op(self, graphs, tmp_path):
+        code = main(["label", "--graph", str(tmp_path / "missing.json"),
+                     "--op", "cartesian", "--g1", graphs["c5"], "--g2", graphs["c4"],
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
+    def test_usage_errors_print_no_traceback(self, graphs):
+        proc = run_module("label", "--op", "cartesian", "--g1", graphs["c5"],
+                          "--g2", graphs["c4"], "--root", "0")
+        assert proc.returncode == EXIT_USAGE
+        assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
+        proc = run_module("build", "--op", "cartesian", "--g1", graphs["c5"],
+                          "--g2", graphs["c4"], "--oracle-bound", "5")
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_seed_0_output_is_pinned(self, tmp_path):
         pins = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected.json")
@@ -305,3 +385,68 @@ class TestLargeProduct:
         assert main(["verify", "--graph", str(graph), "--labels", str(labels),
                      "--out", str(out)]) == EXIT_VERIFY
         assert ["duplicate-vertex-label", [0, 1]] in read(out)["violations"]
+
+
+# SHA-256 of `label --op X` and `build --op X` output for g1 = C5, g2 = C4
+# (--root 0 for rooted), taken before the op table replaced the per-op code.
+GOLDEN = {
+    ("label", "cartesian"): "be47b42239231b4fae577f04756d09aadd2730bb0ce6329c299355b975c282e1",
+    ("label", "direct"): "3071b1c076d0f1264217f6e27d4a7ecac2a70e82d44e7b582bee3b6f50721b8f",
+    ("label", "strong"): "6afb4e4cd720e85f09870949d2a94991127aa408906502b419136bbbba7a56e3",
+    ("label", "lex"): "062a453e5083989be115d26e212c056b07d956271d6c6db10c28d54dbc8c0e83",
+    ("label", "corona"): "f33455b4d40e2596964d88a38cfa6466a80aa09084ea2fe246c4f8ddadcf02a9",
+    ("label", "rooted"): "4e1b4812d8733a9923a7e2a18aceb2fa36b0a6d2b1311be0d53fe7382a2f06b3",
+    ("build", "cartesian"): "86e36b9256b09cac61669d324e8225ef19e1e0d04dc782529073eed13ca2901c",
+    ("build", "direct"): "fda1096d1b0e0d4d87e5f2ec04cc0238d362940de32b8718bbc5496073315d3b",
+    ("build", "strong"): "01eb8f8976c99413d37ebc8ae1f737957acce568a08b329a4ba8d40ed35a0668",
+    ("build", "lex"): "cd2740aebea170a8aa17c7d9038e13a5bbe42fe235f7056657d51f43102516ae",
+    ("build", "corona"): "732f9cba511b533ae1cc67d1e5cda857a06dfc78c81adc20b1651d7746986f5b",
+    ("build", "rooted"): "defc5ef73cbf6a95440e1a57455ae83a275079881aa37608158fb8df8e0d035a",
+}
+
+
+class TestEveryOp:
+    @pytest.mark.parametrize("command, op", sorted(GOLDEN))
+    def test_output_is_pinned(self, graphs, tmp_path, command, op):
+        out = tmp_path / "out.json"
+        args = [command, "--op", op, "--g1", graphs["c5"], "--g2", graphs["c4"],
+                "--out", str(out)]
+        if op == "rooted":
+            args += ["--root", "0"]
+        assert main(args) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command, op]
+
+    @staticmethod
+    def labeling_file(tmp_path, name, g, non_singleton):
+        lab = assign_concrete_sets(g, LabelPlan(frozenset(non_singleton), "given"))
+        path = tmp_path / f"{name}.json"
+        path.write_text(lab.to_json())
+        return lab, str(path)
+
+    def test_lex_labels_is_the_second_factor(self, graphs, tmp_path):
+        c5, c4 = cycle_graph(5), cycle_graph(4)
+        # A 1-uniform labeling of C4 differs from the optimal one the
+        # planner would make without --labels.
+        l2, path = self.labeling_file(tmp_path, "l2", c4, [])
+        out = tmp_path / "out.json"
+        assert main(["label", "--op", "lex", "--g1", graphs["c5"], "--g2", graphs["c4"],
+                     "--labels", path, "--out", str(out)]) == EXIT_OK
+        assert read(out)["plan"] == plan_lexicographic(c5, c4, l2).to_json_dict()
+
+    @pytest.mark.parametrize("op", ["corona", "rooted"])
+    def test_labels_and_labels2_are_g1_and_g2(self, graphs, tmp_path, op):
+        c5, c4 = cycle_graph(5), cycle_graph(4)
+        l1, path1 = self.labeling_file(tmp_path, "l1", c5, [1, 3])
+        l2, path2 = self.labeling_file(tmp_path, "l2", c4, [0, 2])
+        out = tmp_path / "out.json"
+        args = ["label", "--op", op, "--g1", graphs["c5"], "--g2", graphs["c4"],
+                "--labels", path1, "--labels2", path2, "--out", str(out)]
+        if op == "rooted":
+            args += ["--root", "0"]
+            want = plan_rooted(c5, l1, c4, l2, 0)
+        else:
+            want = plan_corona(c5, l1, c4, l2)
+        assert main(args) == EXIT_OK
+        payload = read(out)
+        assert payload["report"]["passed"]
+        assert payload["plan"] == want.to_json_dict()

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_sparing import graphs
 
+from weakiasi.cli import sweep_families
 from weakiasi.constructions import (
+    PRODUCT_OPS,
     LabelPlan,
     PlanError,
     assign_concrete_sets,
@@ -56,6 +60,19 @@ def L(graph, *sets):
 def assert_independent(g, vertices):
     for u, v in itertools.combinations(sorted(vertices), 2):
         assert not g.has_edge(u, v)
+
+
+def random_independent_set(g, rng):
+    """Each vertex, in shuffled order, joins with probability 1/2 when no
+    neighbour has joined yet."""
+    adj = g.adjacency()
+    order = list(range(g.n))
+    rng.shuffle(order)
+    chosen = set()
+    for v in order:
+        if rng.random() < 0.5 and not adj[v] & chosen:
+            chosen.add(v)
+    return chosen
 
 
 def is_sidon(values):
@@ -124,13 +141,7 @@ class TestAssignConcreteSets:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(graphs(), st.randoms(use_true_random=False))
     def test_random_independent_plans_verify(self, g, rng):
-        adj = g.adjacency()
-        order = list(range(g.n))
-        rng.shuffle(order)
-        plan = set()
-        for v in order:
-            if rng.random() < 0.5 and not adj[v] & plan:
-                plan.add(v)
+        plan = random_independent_set(g, rng)
         lab, rep = build_labeling(g, LabelPlan(frozenset(plan), "test"))
         assert rep.passed
         assert lab.non_singleton_vertices() == plan
@@ -335,6 +346,44 @@ class TestFullPlannerSweep:
                 assert_independent(prod, plan.non_singleton)
                 lab, rep = build_labeling(prod, plan)
                 assert rep.passed, (plan.provenance, rep.violations)
+
+
+# SHA-256 over plan.to_json_dict() of every op on every ordered pair of the
+# sweep families (optimal factor labelings, root 0), taken while each
+# planner still built its own product.
+SWEEP_GRID_PLANS_SHA256 = "c6edf1151bc782a9c3ca01a636a1a8a545cc972ffe0e234aaa762559aaa3e462"
+
+
+class TestPlanPin:
+    def test_sweep_grid_plans_are_pinned(self):
+        families = sweep_families()
+        optimal = {name: optimal_labeling(g, 24) for name, g in families.items()}
+        plans = []
+        for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
+            for op, spec in PRODUCT_OPS.items():
+                plan = spec.plan(g1, optimal[name1], g2, optimal[name2], 0)
+                plans.append([name1, name2, op, plan.to_json_dict()])
+        digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
+        assert digest == SWEEP_GRID_PLANS_SHA256
+
+
+factors = graphs(max_n=6).filter(lambda g: g.n >= 1)
+
+
+class TestEveryOpOnRandomFactors:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(factors, factors, st.randoms(use_true_random=False))
+    def test_plans_are_independent_and_verify(self, g1, g2, rng):
+        l1, l2 = (assign_concrete_sets(g, LabelPlan(frozenset(random_independent_set(g, rng)),
+                                                    "random"))
+                  for g in (g1, g2))
+        root = rng.randrange(g2.n)
+        for op, spec in PRODUCT_OPS.items():
+            product, vmap = spec.build(g1, g2, root)
+            plan = spec.plan(g1, l1, g2, l2, root)
+            assert_independent(product, plan.non_singleton)
+            _, rep = build_labeling(product, plan)
+            assert rep.passed, (op, rep.violations)
 
 
 class TestOptimalLabeling:

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Constructive weak IASIs on graph products.
 
-Each planner lifts optimal factor labelings to a concrete plan on the
-product: an independent set of vertices that may carry non-singleton sets.
+Each planner takes the built product and its vertex map and lifts optimal
+factor labelings to a concrete plan on it: an independent set of vertices that may carry non-singleton sets.
 assign_concrete_sets then picks actual integer sets (singletons from the
 Erdos-Turan Sidon set 2pk + (k^2 mod p), non-singletons as shifted blocks)
 so the verifier passes.
@@ -30,19 +30,22 @@ g1, g2 = cycle_graph(5), path_graph(3)
 l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
 
 cases = [
-    ("cartesian", cartesian_product, lambda: plan_cartesian(g1, l1, g2)),
-    ("direct", direct_product, lambda: plan_direct(g1, l1, g2)),
-    ("strong", strong_product, lambda: plan_strong(g1, l1, g2)),
+    ("cartesian", cartesian_product,
+     lambda prod, vmap: plan_cartesian(prod, vmap, g1, l1, g2)),
+    ("direct", direct_product,
+     lambda prod, vmap: plan_direct(prod, vmap, g1, l1, g2)),
+    ("strong", strong_product,
+     lambda prod, vmap: plan_strong(prod, vmap, g1, l1, g2)),
     ("lexicographic", lexicographic_product,
-     lambda: plan_lexicographic(g1, g2, l2)),
+     lambda prod, vmap: plan_lexicographic(prod, vmap, g1, g2, l2)),
 ]
 
 print(f"factors: C5 (sparing {sparing_exact(g1).value}), "
       f"P3 (sparing {sparing_exact(g2).value})\n")
 
 for name, op, planner in cases:
-    prod, _ = op(g1, g2)
-    plan = planner()
+    prod, vmap = op(g1, g2)
+    plan = planner(prod, vmap)
     labeling, report = build_labeling(prod, plan)
     _, mono, _ = mono_indexed_stats(prod, labeling)
     exact = sparing_exact(prod, oracle_bound=32).value

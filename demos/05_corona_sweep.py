@@ -40,7 +40,7 @@ for n1, g1 in families.items():
         r2, e2, _ = mono_indexed_stats(g2, l2)
         formula = sparing_formula_corona(g1.n, len(g2.edges), r1, r2)
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(g1, l1, g2, l2)
+        plan = plan_corona(prod, vmap, g1, l1, g2, l2)
         labeling, report = build_labeling(prod, plan)
         assert report.passed
         _, constr, _ = mono_indexed_stats(prod, labeling)

@@ -3,8 +3,9 @@
 Subcommands: build, label, verify, sparing, sweep. All file formats are
 JSON (see graph_core / set_label serializers); DOT is output-only.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 capacity error,
-4 verification failed.
+Exit codes: 0 success, 1 usage error or an output file (--out, --dot)
+that cannot be written, 2 parse error, 3 capacity error, 4 verification
+failed.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise GraphError(f"cannot parse {path}: {exc}")
 
 
@@ -126,11 +127,11 @@ def cmd_label(args):
         op = constructions.PRODUCT_OPS[args.op]
         g1 = _load_graph(args.g1, args.allow_isolated)
         g2 = _load_graph(args.g2, args.allow_isolated)
-        g, _ = op.build(g1, g2, args.root)
+        g, vmap = op.build(g1, g2, args.root)
         # --labels is the first factor labeling the planner reads, --labels2 the second.
         labelings = {i: _factor_labeling((g1, g2)[i - 1], path, bound)
                      for i, path in zip(op.reads, (args.labels, args.labels2))}
-        plan = op.plan(g1, labelings.get(1), g2, labelings.get(2), args.root)
+        plan = op.plan(g, vmap, g1, labelings.get(1), g2, labelings.get(2), args.root)
     labeling, report = constructions.build_labeling(g, plan)
     payload = {
         "graph": g.to_json_dict(),
@@ -208,8 +209,8 @@ def run_sweep(oracle_bound=None, seed=0):
         for name2, g2 in families.items():
             l2 = optimal[name2]
             for op, spec in constructions.PRODUCT_OPS.items():
-                product, _ = spec.build(g1, g2, 0)
-                plan = spec.plan(g1, l1, g2, l2, 0)
+                product, vmap = spec.build(g1, g2, 0)
+                plan = spec.plan(product, vmap, g1, l1, g2, l2, 0)
                 labeling, report = constructions.build_labeling(product, plan)
                 row = {
                     "g1": name1, "g2": name2, "op": op,
@@ -395,6 +396,9 @@ def main(argv=None):
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return EXIT_CAPACITY
+    except OSError as exc:  # only writes get here: _load_json turns read errors into GraphError
+        sys.stderr.write(f"output error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Constructive weak-IASI labelings for the six graph products.
 
-Each planner decides which product vertices get non-singleton labels,
-following the corresponding constructive proof; the decisions are recorded
-as a LabelPlan whose non-singleton set is independent in the product by
-construction (conflicting designations are demoted to singleton and
-flagged). Concrete sets are then filled in by assign_concrete_sets, which
-guarantees the injectivity conditions regardless of which plan it is given:
+Each planner takes the product graph and vertex map its builder returned,
+then the factors it reads, and decides which product vertices get
+non-singleton labels, following the corresponding constructive proof; the
+decisions are recorded as a LabelPlan whose non-singleton set is
+independent in the product by construction (conflicting designations are
+demoted to singleton and flagged). Concrete sets are then filled in by
+assign_concrete_sets, which guarantees the injectivity conditions
+regardless of which plan it is given:
 
   * singleton values form a Sidon set (all pairwise sums, doubles
     included, are distinct), so singleton-singleton edge sums are pairwise
@@ -21,15 +23,11 @@ guarantees the injectivity conditions regardless of which plan it is given:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph_core import (
-    CoronaVertexMap,
-    ProductVertexMap,
-    RootedVertexMap,
     cartesian_product,
     corona,
     direct_product,
@@ -66,9 +64,6 @@ class LabelPlan:
             d["demoted"] = sorted(self.demoted)
         return d
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
 
 def _require_weak(g, labeling, who):
     report = verify_weak_iasi(g, labeling)
@@ -89,7 +84,7 @@ def _greedy_independent(g, desired, provenance):
     return LabelPlan(frozenset(kept), provenance, frozenset(demoted))
 
 
-def plan_cartesian(g1, l1, g2):
+def plan_cartesian(product, vmap, g1, l1, g2):
     """Layered pattern for g1 [] g2.
 
     The product is n2 copies of g1, one per g2-vertex. Copies fall into
@@ -102,7 +97,6 @@ def plan_cartesian(g1, l1, g2):
     greedily.
     """
     _require_weak(g1, l1, "first factor")
-    product, vmap = cartesian_product(g1, g2)
     bip = is_bipartite(g2)
     if bip.is_bipartite:
         side1 = set(bip.sides[1])
@@ -126,7 +120,7 @@ def plan_cartesian(g1, l1, g2):
     return _greedy_independent(product, desired, "cartesian")
 
 
-def plan_direct(g1, l1, g2):
+def plan_direct(product, vmap, g1, l1, g2):
     """Every g1-copy of the direct product repeats g1's pattern.
 
     Two vertices with the same second coordinate are never adjacent in the
@@ -134,7 +128,6 @@ def plan_direct(g1, l1, g2):
     repeated pattern is independent without demotions.
     """
     _require_weak(g1, l1, "first factor")
-    product, vmap = direct_product(g1, g2)
     non_singleton1 = l1.non_singleton_vertices()
     desired = {
         vmap.forward(i, j) for i in non_singleton1 for j in range(g2.n)
@@ -145,7 +138,7 @@ def plan_direct(g1, l1, g2):
     return plan
 
 
-def plan_strong(g1, l1, g2):
+def plan_strong(product, vmap, g1, l1, g2):
     """Copy-by-copy pattern for g1 [x] g2.
 
     Copy 0 inherits g1's pattern; later copies request the same pattern and
@@ -154,7 +147,6 @@ def plan_strong(g1, l1, g2):
     copies adjacent in g2 usually demote most requests).
     """
     _require_weak(g1, l1, "first factor")
-    product, vmap = strong_product(g1, g2)
     non_singleton1 = l1.non_singleton_vertices()
     adj = product.adjacency()
     kept = set()
@@ -169,7 +161,7 @@ def plan_strong(g1, l1, g2):
     return LabelPlan(frozenset(kept), "strong", frozenset(demoted))
 
 
-def plan_lexicographic(g1, g2, l2):
+def plan_lexicographic(product, vmap, g1, g2, l2):
     """Host an independent family of g1-vertices with g2's pattern.
 
     In g1 o g2 every vertex of a copy is adjacent to all vertices of the
@@ -178,7 +170,6 @@ def plan_lexicographic(g1, g2, l2):
     Hosts are chosen greedily in ascending g1-vertex order.
     """
     _require_weak(g2, l2, "second factor")
-    product, vmap = lexicographic_product(g1, g2)
     adj1 = g1.adjacency()
     hosts = set()
     for u in range(g1.n):
@@ -192,13 +183,12 @@ def plan_lexicographic(g1, g2, l2):
     return plan
 
 
-def plan_corona(g1, l1, g2, l2):
+def plan_corona(product, vmap, g1, l1, g2, l2):
     """Corona pattern: g1 keeps l1's pattern; copies attached to mono
     g1-vertices carry l2's pattern; copies attached to non-singleton
     g1-vertices are fully singleton (1-uniform)."""
     _require_weak(g1, l1, "first factor")
     _require_weak(g2, l2, "second factor")
-    product, vmap = corona(g1, g2)
     desired = set(l1.non_singleton_vertices())
     non_singleton2 = l2.non_singleton_vertices()
     for i in range(g1.n):
@@ -210,7 +200,7 @@ def plan_corona(g1, l1, g2, l2):
     return plan
 
 
-def plan_rooted(g1, l1, g2, l2, root):
+def plan_rooted(product, vmap, g1, l1, g2, l2, root):
     """Rooted-product pattern.
 
     Copy i carries l2's pattern. The merged vertex takes l1's designation,
@@ -220,7 +210,6 @@ def plan_rooted(g1, l1, g2, l2, root):
     """
     _require_weak(g1, l1, "first factor")
     _require_weak(g2, l2, "second factor")
-    product, vmap = rooted_product(g1, g2, root)
     root_non_singleton = not l2[root].is_singleton()
     non_singleton2 = l2.non_singleton_vertices() - {root}
     desired = set()
@@ -236,10 +225,11 @@ def plan_rooted(g1, l1, g2, l2, root):
 
 # A NamedTuple, as a frozen dataclass would add about 1 ms to each CLI start.
 class ProductOp(NamedTuple):
-    """A product's builder, build(g1, g2, root) -> (graph, vertex map), its
-    planner, plan(g1, l1, g2, l2, root) -> LabelPlan, and the factors (1, 2)
-    whose labelings plan reads, in the order --labels and --labels2 give
-    them. Only a rooted op uses root; the others ignore it."""
+    """A product's builder, build(g1, g2, root) -> (product, vmap), its
+    planner, plan(product, vmap, g1, l1, g2, l2, root) -> LabelPlan, which
+    plans on the pair build returned, and the factors (1, 2) whose
+    labelings plan reads, in the order --labels and --labels2 give them.
+    Only a rooted op uses root; the others ignore it."""
 
     build: object
     plan: object
@@ -250,19 +240,25 @@ class ProductOp(NamedTuple):
 # The lambdas look builders and planners up by module-global name at each
 # call, so a wrapper later installed on those names sees every call.
 PRODUCT_OPS = {
-    "cartesian": ProductOp(lambda g1, g2, r: cartesian_product(g1, g2),
-                           lambda g1, l1, g2, l2, r: plan_cartesian(g1, l1, g2), (1,)),
-    "direct": ProductOp(lambda g1, g2, r: direct_product(g1, g2),
-                        lambda g1, l1, g2, l2, r: plan_direct(g1, l1, g2), (1,)),
-    "strong": ProductOp(lambda g1, g2, r: strong_product(g1, g2),
-                        lambda g1, l1, g2, l2, r: plan_strong(g1, l1, g2), (1,)),
-    "lex": ProductOp(lambda g1, g2, r: lexicographic_product(g1, g2),
-                     lambda g1, l1, g2, l2, r: plan_lexicographic(g1, g2, l2), (2,)),
-    "corona": ProductOp(lambda g1, g2, r: corona(g1, g2),
-                        lambda g1, l1, g2, l2, r: plan_corona(g1, l1, g2, l2), (1, 2)),
-    "rooted": ProductOp(lambda g1, g2, r: rooted_product(g1, g2, r),
-                        lambda g1, l1, g2, l2, r: plan_rooted(g1, l1, g2, l2, r), (1, 2),
-                        rooted=True),
+    "cartesian": ProductOp(
+        lambda g1, g2, r: cartesian_product(g1, g2),
+        lambda p, vm, g1, l1, g2, l2, r: plan_cartesian(p, vm, g1, l1, g2), (1,)),
+    "direct": ProductOp(
+        lambda g1, g2, r: direct_product(g1, g2),
+        lambda p, vm, g1, l1, g2, l2, r: plan_direct(p, vm, g1, l1, g2), (1,)),
+    "strong": ProductOp(
+        lambda g1, g2, r: strong_product(g1, g2),
+        lambda p, vm, g1, l1, g2, l2, r: plan_strong(p, vm, g1, l1, g2), (1,)),
+    "lex": ProductOp(
+        lambda g1, g2, r: lexicographic_product(g1, g2),
+        lambda p, vm, g1, l1, g2, l2, r: plan_lexicographic(p, vm, g1, g2, l2), (2,)),
+    "corona": ProductOp(
+        lambda g1, g2, r: corona(g1, g2),
+        lambda p, vm, g1, l1, g2, l2, r: plan_corona(p, vm, g1, l1, g2, l2), (1, 2)),
+    "rooted": ProductOp(
+        lambda g1, g2, r: rooted_product(g1, g2, r),
+        lambda p, vm, g1, l1, g2, l2, r: plan_rooted(p, vm, g1, l1, g2, l2, r), (1, 2),
+        rooted=True),
 }
 
 

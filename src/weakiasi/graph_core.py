@@ -19,12 +19,6 @@ class GraphError(ValueError):
     """Malformed graph input (bad endpoints, self-loops, isolated vertices)."""
 
 
-def _normalize_edge(u, v):
-    if u == v:
-        raise GraphError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple finite undirected graph on vertices 0..n-1."""
@@ -70,7 +64,7 @@ class Graph:
         return sorted(self.edges)
 
     def has_edge(self, u, v):
-        return _normalize_edge(u, v) in self.edges if u != v else False
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     def adjacency(self):
         """Neighbor sets for all vertices, computed in one pass."""
@@ -188,11 +182,6 @@ class CoronaVertexMap:
     p1: int
     p2: int
 
-    def g1_vertex(self, i):
-        if not 0 <= i < self.p1:
-            raise GraphError(f"g1 vertex {i} out of range")
-        return i
-
     def copy_vertex(self, i, j):
         """Product id of vertex j in the i-th copy of g2."""
         if not (0 <= i < self.p1 and 0 <= j < self.p2):
@@ -201,13 +190,6 @@ class CoronaVertexMap:
 
     def copy_vertices(self, i):
         return [self.copy_vertex(i, j) for j in range(self.p2)]
-
-    def locate(self, pid):
-        """Return ('g1', i) or ('copy', i, j) for a product vertex id."""
-        if pid < self.p1:
-            return ("g1", pid)
-        i, j = divmod(pid - self.p1, self.p2)
-        return ("copy", i, j)
 
 
 @dataclass(frozen=True)
@@ -246,11 +228,7 @@ def _require_nonempty(g1, g2):
         raise GraphError("product factors must be nonempty")
 
 
-def cartesian_product(g1, g2):
-    """Cartesian product: (u1,u2) ~ (v1,v2) iff equal in one coordinate and
-    adjacent in the other."""
-    _require_nonempty(g1, g2)
-    vmap = ProductVertexMap(g1.n, g2.n)
+def _cartesian_edges(g1, g2, vmap):
     edges = []
     for i in range(g1.n):
         for u, v in g2.edges:
@@ -258,27 +236,39 @@ def cartesian_product(g1, g2):
     for j in range(g2.n):
         for u, v in g1.edges:
             edges.append((vmap.forward(u, j), vmap.forward(v, j)))
-    return Graph(g1.n * g2.n, edges, allow_isolated=True), vmap
+    return edges
+
+
+def _direct_edges(g1, g2, vmap):
+    edges = []
+    for u1, v1 in g1.edges:
+        for u2, v2 in g2.edges:
+            edges.append((vmap.forward(u1, u2), vmap.forward(v1, v2)))
+            edges.append((vmap.forward(u1, v2), vmap.forward(v1, u2)))
+    return edges
+
+
+def cartesian_product(g1, g2):
+    """Cartesian product: (u1,u2) ~ (v1,v2) iff equal in one coordinate and
+    adjacent in the other."""
+    _require_nonempty(g1, g2)
+    vmap = ProductVertexMap(g1.n, g2.n)
+    return Graph(g1.n * g2.n, _cartesian_edges(g1, g2, vmap), allow_isolated=True), vmap
 
 
 def direct_product(g1, g2):
     """Direct (tensor) product: adjacent iff adjacent in both coordinates."""
     _require_nonempty(g1, g2)
     vmap = ProductVertexMap(g1.n, g2.n)
-    edges = []
-    for u1, v1 in g1.edges:
-        for u2, v2 in g2.edges:
-            edges.append((vmap.forward(u1, u2), vmap.forward(v1, v2)))
-            edges.append((vmap.forward(u1, v2), vmap.forward(v1, u2)))
-    return Graph(g1.n * g2.n, edges, allow_isolated=True), vmap
+    return Graph(g1.n * g2.n, _direct_edges(g1, g2, vmap), allow_isolated=True), vmap
 
 
 def strong_product(g1, g2):
     """Strong product: union of the Cartesian and direct product edge sets."""
     _require_nonempty(g1, g2)
-    cart, vmap = cartesian_product(g1, g2)
-    tens, _ = direct_product(g1, g2)
-    return Graph(g1.n * g2.n, cart.edges | tens.edges, allow_isolated=True), vmap
+    vmap = ProductVertexMap(g1.n, g2.n)
+    edges = _cartesian_edges(g1, g2, vmap) + _direct_edges(g1, g2, vmap)
+    return Graph(g1.n * g2.n, edges, allow_isolated=True), vmap
 
 
 def lexicographic_product(g1, g2):

@@ -109,6 +109,11 @@ class Labeling:
             labels = {int(v): IntegerSet(s) for v, s in raw.items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise LabelError(f"bad labeling JSON: {exc}")
+        # Keys must be canonical decimals: "0" and "00" would both name
+        # vertex 0, and one of the two labels would be dropped unseen.
+        if list(map(str, labels)) != list(raw):
+            bad = next(k for k in raw if str(int(k)) != k)
+            raise LabelError(f"bad labeling JSON: key {bad!r} is not a canonical vertex id")
         return cls(graph, labels)
 
     @classmethod
@@ -139,9 +144,6 @@ class VerificationReport:
             "mono_edge_count": self.mono_edge_count,
             "mono_edges": [list(e) for e in self.mono_edges],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
 
 
 def mono_indexed_stats(g, labeling):

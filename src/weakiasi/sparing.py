@@ -22,8 +22,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .graph_core import disjoint_union
-
 DEFAULT_ORACLE_BOUND = 24
 ORACLE_BOUND_ENV = "WEAKIASI_ORACLE_BOUND"
 
@@ -252,7 +250,6 @@ __all__ = [
     "sparing_formula_corona",
     "cycle_parity_of",
     "sparing_union",
-    "disjoint_union",
     "DEFAULT_ORACLE_BOUND",
     "ORACLE_BOUND_ENV",
 ]

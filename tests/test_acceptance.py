@@ -152,12 +152,18 @@ def test_criterion_4_union_additivity():
 
 
 def _all_products(g1, l1, g2, l2):
-    yield "cartesian", cartesian_product(g1, g2)[0], plan_cartesian(g1, l1, g2)
-    yield "direct", direct_product(g1, g2)[0], plan_direct(g1, l1, g2)
-    yield "strong", strong_product(g1, g2)[0], plan_strong(g1, l1, g2)
-    yield "lex", lexicographic_product(g1, g2)[0], plan_lexicographic(g1, g2, l2)
-    yield "corona", corona(g1, g2)[0], plan_corona(g1, l1, g2, l2)
-    yield "rooted", rooted_product(g1, g2, 0)[0], plan_rooted(g1, l1, g2, l2, 0)
+    prod, vmap = cartesian_product(g1, g2)
+    yield "cartesian", prod, plan_cartesian(prod, vmap, g1, l1, g2)
+    prod, vmap = direct_product(g1, g2)
+    yield "direct", prod, plan_direct(prod, vmap, g1, l1, g2)
+    prod, vmap = strong_product(g1, g2)
+    yield "strong", prod, plan_strong(prod, vmap, g1, l1, g2)
+    prod, vmap = lexicographic_product(g1, g2)
+    yield "lex", prod, plan_lexicographic(prod, vmap, g1, g2, l2)
+    prod, vmap = corona(g1, g2)
+    yield "corona", prod, plan_corona(prod, vmap, g1, l1, g2, l2)
+    prod, vmap = rooted_product(g1, g2, 0)
+    yield "rooted", prod, plan_rooted(prod, vmap, g1, l1, g2, l2, 0)
 
 
 def test_criterion_5_construction_validity_sweep():
@@ -205,7 +211,7 @@ def test_criterion_7_subgraph_heredity_on_layers():
     for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
         l1 = optimal_labeling(g1)
         prod, vmap = cartesian_product(g1, g2)
-        plan = plan_cartesian(g1, l1, g2)
+        plan = plan_cartesian(prod, vmap, g1, l1, g2)
         lab, rep = build_labeling(prod, plan)
         ok = ok and rep.passed
         for j in range(g2.n):

@@ -28,8 +28,11 @@ from weakiasi.graph_core import (
     Graph,
     cartesian_product,
     complete_graph,
+    corona,
     cycle_graph,
+    lexicographic_product,
     path_graph,
+    rooted_product,
 )
 from weakiasi.set_label import IntegerSet, Labeling, mono_indexed_stats
 from weakiasi.sparing import sparing_formula_corona
@@ -351,6 +354,39 @@ class TestStrictInput:
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
 
+    def test_non_utf8_graph_is_parse_error(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_bytes(b"\xff\xfe" + json.dumps({"n": 2, "edges": [[0, 1]]}).encode())
+        proc = run_module("sparing", "--graph", str(p))
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("labels", [
+        {"0": [1], "00": [2, 3], "1": [4]},
+        {"0": [1], "+1": [2, 3]},
+    ], ids=["00-shadows-0", "plus-sign"])
+    def test_non_canonical_labeling_key_is_parse_error(self, graphs, tmp_path, labels):
+        k2 = tmp_path / "k2.json"
+        k2.write_text(complete_graph(2).to_json())
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"labels": labels}))
+        proc = run_module("verify", "--graph", str(k2), "--labels", str(p))
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_unwritable_output_exits_1_with_one_line(self, graphs, tmp_path, flag):
+        paths = {"--out": str(tmp_path / "p.json"), "--dot": str(tmp_path / "p.dot")}
+        paths[flag] = str(tmp_path / "missing" / "x")
+        proc = run_module("build", "--op", "cartesian", "--g1", graphs["c5"],
+                          "--g2", graphs["c4"], "--out", paths["--out"],
+                          "--dot", paths["--dot"])
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("output error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestLargeProduct:
     def test_c60_box_c60(self, tmp_path):
@@ -431,7 +467,8 @@ class TestEveryOp:
         out = tmp_path / "out.json"
         assert main(["label", "--op", "lex", "--g1", graphs["c5"], "--g2", graphs["c4"],
                      "--labels", path, "--out", str(out)]) == EXIT_OK
-        assert read(out)["plan"] == plan_lexicographic(c5, c4, l2).to_json_dict()
+        prod, vmap = lexicographic_product(c5, c4)
+        assert read(out)["plan"] == plan_lexicographic(prod, vmap, c5, c4, l2).to_json_dict()
 
     @pytest.mark.parametrize("op", ["corona", "rooted"])
     def test_labels_and_labels2_are_g1_and_g2(self, graphs, tmp_path, op):
@@ -443,9 +480,11 @@ class TestEveryOp:
                 "--labels", path1, "--labels2", path2, "--out", str(out)]
         if op == "rooted":
             args += ["--root", "0"]
-            want = plan_rooted(c5, l1, c4, l2, 0)
+            prod, vmap = rooted_product(c5, c4, 0)
+            want = plan_rooted(prod, vmap, c5, l1, c4, l2, 0)
         else:
-            want = plan_corona(c5, l1, c4, l2)
+            prod, vmap = corona(c5, c4)
+            want = plan_corona(prod, vmap, c5, l1, c4, l2)
         assert main(args) == EXIT_OK
         payload = read(out)
         assert payload["report"]["passed"]

@@ -162,8 +162,8 @@ class TestPlanCartesian:
     def test_p2_box_p2_alternates(self):
         g1 = path_graph(2)
         l1 = L(g1, [1], [2, 3])
-        plan = plan_cartesian(g1, l1, path_graph(2))
-        prod, _ = cartesian_product(g1, path_graph(2))
+        prod, vmap = cartesian_product(g1, path_graph(2))
+        plan = plan_cartesian(prod, vmap, g1, l1, path_graph(2))
         lab, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == 0
 
@@ -171,8 +171,8 @@ class TestPlanCartesian:
         g1 = complete_graph(3)
         l1 = L(g1, [1], [2], [3, 7])  # mono edge (0,1)
         g2 = path_graph(2)
-        plan = plan_cartesian(g1, l1, g2)
         prod, vmap = cartesian_product(g1, g2)
+        plan = plan_cartesian(prod, vmap, g1, l1, g2)
         # layer j=1 is inverted, but the mono-edge endpoints 0 and 1 stay singleton
         assert vmap.forward(0, 1) not in plan.non_singleton
         assert vmap.forward(1, 1) not in plan.non_singleton
@@ -181,15 +181,16 @@ class TestPlanCartesian:
 
     def test_rejects_invalid_factor_labeling(self):
         g1 = path_graph(2)
+        prod, vmap = cartesian_product(g1, path_graph(2))
         with pytest.raises(PlanError):
-            plan_cartesian(g1, L(g1, [1, 2], [3, 4]), path_graph(2))
+            plan_cartesian(prod, vmap, g1, L(g1, [1, 2], [3, 4]), path_graph(2))
 
     def test_bipartite_factors_yield_zero_mono_edges(self):
         bipartite = [FAMILIES[k] for k in ("P2", "P3", "P4", "C4", "K2", "S3")]
         for g1, g2 in itertools.product(bipartite, repeat=2):
-            prod, _ = cartesian_product(g1, g2)
+            prod, vmap = cartesian_product(g1, g2)
             assert is_bipartite(prod).is_bipartite
-            plan = plan_cartesian(g1, optimal_labeling(g1), g2)
+            plan = plan_cartesian(prod, vmap, g1, optimal_labeling(g1), g2)
             _, rep = build_labeling(prod, plan)
             assert rep.passed and rep.mono_edge_count == 0
 
@@ -197,8 +198,8 @@ class TestPlanCartesian:
 class TestPlanDirect:
     def test_k2_pattern_repeats_per_copy(self):
         g1 = complete_graph(2)
-        plan = plan_direct(g1, L(g1, [1], [2, 3]), complete_graph(2))
         prod, vmap = direct_product(g1, complete_graph(2))
+        plan = plan_direct(prod, vmap, g1, L(g1, [1], [2, 3]), complete_graph(2))
         assert plan.non_singleton == {vmap.forward(1, 0), vmap.forward(1, 1)}
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -206,8 +207,8 @@ class TestPlanDirect:
     def test_c3_times_k2(self):
         g1 = cycle_graph(3)
         l1 = optimal_labeling(g1)
-        plan = plan_direct(g1, l1, complete_graph(2))
-        prod, _ = direct_product(g1, complete_graph(2))
+        prod, vmap = direct_product(g1, complete_graph(2))
+        plan = plan_direct(prod, vmap, g1, l1, complete_graph(2))
         assert len(plan.non_singleton) == 2
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
@@ -215,23 +216,24 @@ class TestPlanDirect:
 
     def test_all_singleton_factor_gives_one_uniform_plan(self):
         g1 = path_graph(3)
-        plan = plan_direct(g1, L(g1, [1], [2], [4]), path_graph(2))
+        prod, vmap = direct_product(g1, path_graph(2))
+        plan = plan_direct(prod, vmap, g1, L(g1, [1], [2], [4]), path_graph(2))
         assert plan.non_singleton == frozenset()
 
 
 class TestPlanStrong:
     def test_k2_strong_k2_has_one_non_singleton(self):
         g1 = complete_graph(2)
-        plan = plan_strong(g1, L(g1, [1], [2, 3]), complete_graph(2))
-        prod, _ = strong_product(g1, complete_graph(2))
+        prod, vmap = strong_product(g1, complete_graph(2))
+        plan = plan_strong(prod, vmap, g1, L(g1, [1], [2, 3]), complete_graph(2))
         assert len(plan.non_singleton) == 1
         _, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == 3
 
     def test_p3_strong_k2(self):
         g1 = path_graph(3)
-        plan = plan_strong(g1, optimal_labeling(g1), complete_graph(2))
-        prod, _ = strong_product(g1, complete_graph(2))
+        prod, vmap = strong_product(g1, complete_graph(2))
+        plan = plan_strong(prod, vmap, g1, optimal_labeling(g1), complete_graph(2))
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -240,16 +242,16 @@ class TestPlanStrong:
 class TestPlanLexicographic:
     def test_k2_lex_k2(self):
         g2 = complete_graph(2)
-        plan = plan_lexicographic(complete_graph(2), g2, L(g2, [1], [2, 3]))
-        prod, _ = lexicographic_product(complete_graph(2), g2)
+        prod, vmap = lexicographic_product(complete_graph(2), g2)
+        plan = plan_lexicographic(prod, vmap, complete_graph(2), g2, L(g2, [1], [2, 3]))
         assert len(plan.non_singleton) == 1
         _, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == sparing_exact(prod).value
 
     def test_p3_hosts_are_path_ends(self):
         g1, g2 = path_graph(3), complete_graph(2)
-        plan = plan_lexicographic(g1, g2, L(g2, [1], [2, 3]))
         prod, vmap = lexicographic_product(g1, g2)
+        plan = plan_lexicographic(prod, vmap, g1, g2, L(g2, [1], [2, 3]))
         copies = {vmap.inverse(v)[0] for v in plan.non_singleton}
         assert copies == {0, 2}
         _, rep = build_labeling(prod, plan)
@@ -260,8 +262,8 @@ class TestPlanCorona:
     def test_copies_follow_anchor_type(self):
         g1, g2 = cycle_graph(4), complete_graph(2)
         l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
-        plan = plan_corona(g1, l1, g2, l2)
         prod, vmap = corona(g1, g2)
+        plan = plan_corona(prod, vmap, g1, l1, g2, l2)
         for i in range(g1.n):
             copy = set(vmap.copy_vertices(i))
             if l1[i].is_singleton():
@@ -279,8 +281,8 @@ class TestPlanCorona:
         # e1 + r1*e2 - r1. The cost always upper-bounds the oracle.
         for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
             l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
-            plan = plan_corona(g1, l1, g2, l2)
-            prod, _ = corona(g1, g2)
+            prod, vmap = corona(g1, g2)
+            plan = plan_corona(prod, vmap, g1, l1, g2, l2)
             _, rep = build_labeling(prod, plan)
             assert rep.passed
             r1, _, e1_edges = mono_indexed_stats(g1, l1)
@@ -295,8 +297,8 @@ class TestPlanCorona:
         g1, g2 = path_graph(2), complete_graph(2)
         l1 = L(g1, [1], [2])  # 1-uniform: r1 = n1
         l2 = L(g2, [1], [2, 3])
-        plan = plan_corona(g1, l1, g2, l2)
-        prod, _ = corona(g1, g2)
+        prod, vmap = corona(g1, g2)
+        plan = plan_corona(prod, vmap, g1, l1, g2, l2)
         assert len(plan.non_singleton) == 2  # one per copy
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -307,8 +309,8 @@ class TestPlanRooted:
         g = complete_graph(2)
         l1, l2 = L(g, [1], [2, 3]), L(g, [1], [2, 3])
         for root in (0, 1):
-            plan = plan_rooted(g, l1, g, l2, root)
-            prod, _ = rooted_product(g, g, root)
+            prod, vmap = rooted_product(g, g, root)
+            plan = plan_rooted(prod, vmap, g, l1, g, l2, root)
             lab, rep = build_labeling(prod, plan)
             assert rep.passed
 
@@ -317,14 +319,14 @@ class TestPlanRooted:
         l1, l2 = L(g, [2, 3], [1]), L(g, [1], [2, 3])
         # l1 makes vertex 0 non-singleton, but the copy root (vertex 0 of g2)
         # is singleton, so the merged vertex falls back to singleton.
-        plan = plan_rooted(g, l1, g, l2, 0)
         prod, vmap = rooted_product(g, g, 0)
+        plan = plan_rooted(prod, vmap, g, l1, g, l2, 0)
         assert vmap.merged_vertex(0) not in plan.non_singleton
 
     def test_c3_rooted_p2(self):
         g1, g2 = cycle_graph(3), path_graph(2)
-        plan = plan_rooted(g1, optimal_labeling(g1), g2, optimal_labeling(g2), 0)
-        prod, _ = rooted_product(g1, g2, 0)
+        prod, vmap = rooted_product(g1, g2, 0)
+        plan = plan_rooted(prod, vmap, g1, optimal_labeling(g1), g2, optimal_labeling(g2), 0)
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -334,13 +336,16 @@ class TestFullPlannerSweep:
     def test_every_planner_on_every_ordered_pair(self):
         for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
             l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
+            cart, tens = cartesian_product(g1, g2), direct_product(g1, g2)
+            strong, lex = strong_product(g1, g2), lexicographic_product(g1, g2)
+            cor, rooted = corona(g1, g2), rooted_product(g1, g2, 0)
             plans = [
-                (cartesian_product(g1, g2)[0], plan_cartesian(g1, l1, g2)),
-                (direct_product(g1, g2)[0], plan_direct(g1, l1, g2)),
-                (strong_product(g1, g2)[0], plan_strong(g1, l1, g2)),
-                (lexicographic_product(g1, g2)[0], plan_lexicographic(g1, g2, l2)),
-                (corona(g1, g2)[0], plan_corona(g1, l1, g2, l2)),
-                (rooted_product(g1, g2, 0)[0], plan_rooted(g1, l1, g2, l2, 0)),
+                (cart[0], plan_cartesian(*cart, g1, l1, g2)),
+                (tens[0], plan_direct(*tens, g1, l1, g2)),
+                (strong[0], plan_strong(*strong, g1, l1, g2)),
+                (lex[0], plan_lexicographic(*lex, g1, g2, l2)),
+                (cor[0], plan_corona(*cor, g1, l1, g2, l2)),
+                (rooted[0], plan_rooted(*rooted, g1, l1, g2, l2, 0)),
             ]
             for prod, plan in plans:
                 assert_independent(prod, plan.non_singleton)
@@ -361,7 +366,8 @@ class TestPlanPin:
         plans = []
         for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
             for op, spec in PRODUCT_OPS.items():
-                plan = spec.plan(g1, optimal[name1], g2, optimal[name2], 0)
+                product, vmap = spec.build(g1, g2, 0)
+                plan = spec.plan(product, vmap, g1, optimal[name1], g2, optimal[name2], 0)
                 plans.append([name1, name2, op, plan.to_json_dict()])
         digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
         assert digest == SWEEP_GRID_PLANS_SHA256
@@ -380,7 +386,7 @@ class TestEveryOpOnRandomFactors:
         root = rng.randrange(g2.n)
         for op, spec in PRODUCT_OPS.items():
             product, vmap = spec.build(g1, g2, root)
-            plan = spec.plan(g1, l1, g2, l2, root)
+            plan = spec.plan(product, vmap, g1, l1, g2, l2, root)
             assert_independent(product, plan.non_singleton)
             _, rep = build_labeling(product, plan)
             assert rep.passed, (op, rep.violations)

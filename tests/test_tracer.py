@@ -1,0 +1,36 @@
+"""The benchmark's tracer sees one product build and one plan per `label --op`.
+
+bench/child.py wraps the product builders and planners at every module
+attribute they are looked up by; constructions.PRODUCT_OPS calls them
+through module-global names so that each call is seen.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from weakiasi.graph_core import cycle_graph
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+OPS = ["cartesian", "direct", "strong", "lex", "corona", "rooted"]
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_label_builds_one_product_and_makes_one_plan(tmp_path, op):
+    g1, g2, spans = tmp_path / "c5.json", tmp_path / "c4.json", tmp_path / "spans.json"
+    g1.write_text(cycle_graph(5).to_json())
+    g2.write_text(cycle_graph(4).to_json())
+    args = [sys.executable, "-I", os.path.join(ROOT, "bench", "child.py"),
+            os.path.join(ROOT, "src"), str(spans), "label", "--op", op,
+            "--g1", str(g1), "--g2", str(g2), "--oracle-bound", "24",
+            "--out", str(tmp_path / "out.json")]
+    if op == "rooted":
+        args += ["--root", "0"]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("graph_core.product") == 1
+    assert names.count("constructions.plan") == 1

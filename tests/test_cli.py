@@ -365,7 +365,7 @@ class TestStrictInput:
         {"0": [1], "00": [2, 3], "1": [4]},
         {"0": [1], "+1": [2, 3]},
     ], ids=["00-shadows-0", "plus-sign"])
-    def test_non_canonical_labeling_key_is_parse_error(self, graphs, tmp_path, labels):
+    def test_non_canonical_labeling_key_is_parse_error(self, tmp_path, labels):
         k2 = tmp_path / "k2.json"
         k2.write_text(complete_graph(2).to_json())
         p = tmp_path / "l.json"

@@ -103,9 +103,9 @@ def cmd_build(args):
     payload = dict(g.to_json_dict())
     payload["vertex_map"] = vmap_payload
     payload["connected"] = g.is_connected()
-    _write_json(args.out, payload)
     if args.dot:
         export_dot(g, path=args.dot)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -139,9 +139,9 @@ def cmd_label(args):
         "labeling": labeling.to_json_dict(),
         "report": report.to_json_dict(),
     }
-    _write_json(args.out, payload)
     if args.dot:
         export_dot(g, labeling, path=args.dot)
+    _write_json(args.out, payload)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -149,9 +149,9 @@ def cmd_verify(args):
     g = _load_graph(args.graph, args.allow_isolated)
     labeling = Labeling.from_json_dict(_load_json(args.labels), g)
     report = verify_weak_iasi(g, labeling)
-    _write_json(args.out, report.to_json_dict())
     if args.dot:
         export_dot(g, labeling, path=args.dot)
+    _write_json(args.out, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

@@ -24,7 +24,6 @@ regardless of which plan it is given:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph_core import (
@@ -43,8 +42,7 @@ class PlanError(ValueError):
     """Planner input is not a verified weak IASI, or the plan is unusable."""
 
 
-@dataclass(frozen=True)
-class LabelPlan:
+class LabelPlan(NamedTuple):
     """Singleton / non-singleton designation for every vertex of a graph.
 
     demoted records vertices the source procedure wanted non-singleton but
@@ -71,12 +69,12 @@ def _require_weak(g, labeling, who):
         raise PlanError(f"{who} labeling is not a weak IASI: {report.violations}")
 
 
-def _greedy_independent(g, desired, provenance):
-    """Keep desired vertices in ascending id order, demoting conflicts."""
+def _greedy_independent(g, candidates, provenance):
+    """Keep candidates in the given priority order, demoting conflicts."""
     adj = g.adjacency()
     kept = set()
     demoted = set()
-    for v in sorted(desired):
+    for v in candidates:
         if adj[v] & kept:
             demoted.add(v)
         else:
@@ -117,7 +115,7 @@ def plan_cartesian(product, vmap, g1, l1, g2):
                 want = i not in non_singleton1 and i not in mono_ends
             if want:
                 desired.add(vmap.forward(i, j))
-    return _greedy_independent(product, desired, "cartesian")
+    return _greedy_independent(product, sorted(desired), "cartesian")
 
 
 def plan_direct(product, vmap, g1, l1, g2):
@@ -132,7 +130,7 @@ def plan_direct(product, vmap, g1, l1, g2):
     desired = {
         vmap.forward(i, j) for i in non_singleton1 for j in range(g2.n)
     }
-    plan = _greedy_independent(product, desired, "direct")
+    plan = _greedy_independent(product, sorted(desired), "direct")
     if plan.demoted:
         raise PlanError("direct-product pattern unexpectedly conflicted")
     return plan
@@ -147,18 +145,10 @@ def plan_strong(product, vmap, g1, l1, g2):
     copies adjacent in g2 usually demote most requests).
     """
     _require_weak(g1, l1, "first factor")
-    non_singleton1 = l1.non_singleton_vertices()
-    adj = product.adjacency()
-    kept = set()
-    demoted = set()
-    for j in range(g2.n):  # ascending copy order, deterministic greedy
-        for i in sorted(non_singleton1):
-            pid = vmap.forward(i, j)
-            if adj[pid] & kept:
-                demoted.add(pid)
-            else:
-                kept.add(pid)
-    return LabelPlan(frozenset(kept), "strong", frozenset(demoted))
+    non_singleton1 = sorted(l1.non_singleton_vertices())
+    # Ascending copy order, then ascending g1-vertex order within a copy.
+    candidates = [vmap.forward(i, j) for j in range(g2.n) for i in non_singleton1]
+    return _greedy_independent(product, candidates, "strong")
 
 
 def plan_lexicographic(product, vmap, g1, g2, l2):
@@ -177,7 +167,7 @@ def plan_lexicographic(product, vmap, g1, g2, l2):
             hosts.add(u)
     non_singleton2 = l2.non_singleton_vertices()
     desired = {vmap.forward(u, j) for u in hosts for j in non_singleton2}
-    plan = _greedy_independent(product, desired, "lexicographic")
+    plan = _greedy_independent(product, sorted(desired), "lexicographic")
     if plan.demoted:
         raise PlanError("lexicographic host pattern unexpectedly conflicted")
     return plan
@@ -194,7 +184,7 @@ def plan_corona(product, vmap, g1, l1, g2, l2):
     for i in range(g1.n):
         if l1[i].is_singleton():
             desired.update(vmap.copy_vertex(i, j) for j in non_singleton2)
-    plan = _greedy_independent(product, desired, "corona")
+    plan = _greedy_independent(product, sorted(desired), "corona")
     if plan.demoted:
         raise PlanError("corona pattern unexpectedly conflicted")
     return plan
@@ -217,13 +207,12 @@ def plan_rooted(product, vmap, g1, l1, g2, l2, root):
         if not l1[i].is_singleton() and root_non_singleton:
             desired.add(vmap.merged_vertex(i))
         desired.update(vmap.copy_vertex(i, v) for v in non_singleton2)
-    plan = _greedy_independent(product, desired, "rooted")
+    plan = _greedy_independent(product, sorted(desired), "rooted")
     if plan.demoted:
         raise PlanError("rooted pattern unexpectedly conflicted")
     return plan
 
 
-# A NamedTuple, as a frozen dataclass would add about 1 ms to each CLI start.
 class ProductOp(NamedTuple):
     """A product's builder, build(g1, g2, root) -> (product, vmap), its
     planner, plan(product, vmap, g1, l1, g2, l2, root) -> LabelPlan, which

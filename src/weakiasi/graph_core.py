@@ -1,7 +1,8 @@
 """Simple undirected graphs, the six product constructions, and helpers.
 
-Vertices are always 0..n-1. Edges are stored normalized (u < v). Graphs are
-immutable after construction and every operation here is a pure function.
+Vertices are always 0..n-1. Edges are stored normalized (u < v). Graphs and
+the other records here are immutable tuples, and every operation here is a
+pure function.
 
 Product vertex numbering is fixed row-major: the pair (i, j) of factor
 vertices becomes product vertex i * n2 + j. Corona and rooted products use
@@ -12,21 +13,24 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
     """Malformed graph input (bad endpoints, self-loops, isolated vertices)."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple finite undirected graph on vertices 0..n-1."""
-
+class _GraphFields(NamedTuple):
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: frozenset
 
-    def __init__(self, n, edges=(), allow_isolated=False):
+
+class Graph(_GraphFields):
+    """Simple finite undirected graph on vertices 0..n-1: the pair (n, edges)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, edges=(), allow_isolated=False):
         # bool is a subclass of int, so JSON true would pass isinstance.
         if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a non-negative integer, got {n!r}")
@@ -53,8 +57,7 @@ class Graph:
                 raise GraphError(
                     f"isolated vertices {isolated}; pass allow_isolated=True to accept"
                 )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        return super().__new__(cls, n, frozenset(norm))
 
     @property
     def m(self):
@@ -157,8 +160,7 @@ def single_vertex():
 # ---------------------------------------------------------------------------
 # Vertex maps for products.
 
-@dataclass(frozen=True)
-class ProductVertexMap:
+class ProductVertexMap(NamedTuple):
     """Row-major bijection (i, j) <-> i * n2 + j for grid-style products."""
 
     n1: int
@@ -175,8 +177,7 @@ class ProductVertexMap:
         return divmod(pid, self.n2)
 
 
-@dataclass(frozen=True)
-class CoronaVertexMap:
+class CoronaVertexMap(NamedTuple):
     """Vertex layout of a corona: g1 keeps ids 0..p1-1, copy i of g2 follows."""
 
     p1: int
@@ -192,8 +193,7 @@ class CoronaVertexMap:
         return [self.copy_vertex(i, j) for j in range(self.p2)]
 
 
-@dataclass(frozen=True)
-class RootedVertexMap:
+class RootedVertexMap(NamedTuple):
     """Vertex layout of a rooted product.
 
     Merged vertices (g1 vertex i fused with the root of copy i) keep the
@@ -346,8 +346,7 @@ def restrict_to_layer(product, vmap, factor, index):
 # ---------------------------------------------------------------------------
 # Bipartiteness.
 
-@dataclass(frozen=True)
-class BipartiteResult:
+class BipartiteResult(NamedTuple):
     """Either a two-coloring (sides) or an odd-cycle certificate."""
 
     is_bipartite: bool

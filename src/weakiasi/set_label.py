@@ -10,42 +10,37 @@ for malformed input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import chain
+from typing import NamedTuple
 
 
 class LabelError(ValueError):
     """Malformed set-label or labeling input."""
 
 
-@dataclass(frozen=True, order=True)
-class IntegerSet:
-    """Nonempty finite set of non-negative integers, kept sorted."""
+class IntegerSet(tuple):
+    """Nonempty finite set of non-negative integers: its sorted tuple."""
 
-    elements: tuple
+    __slots__ = ()
 
-    def __init__(self, elements):
-        elems = tuple(sorted(set(elements)))
-        if not elems:
+    def __new__(cls, elements):
+        elements = tuple(elements)
+        if not elements:
             raise LabelError("set-labels must be nonempty")
-        if any(not isinstance(x, int) or x < 0 for x in elems):
+        # Checked before deduplicating: bool is a subclass of int and True
+        # equals 1, so [1, True] would otherwise collapse to {1}.
+        if any(type(x) is not int or x < 0 for x in elements):
             raise LabelError("set-labels contain non-negative integers only")
-        object.__setattr__(self, "elements", elems)
+        return super().__new__(cls, sorted(set(elements)))
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
+    @property
+    def elements(self):
+        return tuple(self)
 
     def __repr__(self):
-        return "{" + ",".join(map(str, self.elements)) + "}"
+        return "{" + ",".join(map(str, self)) + "}"
 
     def is_singleton(self):
-        return len(self.elements) == 1
+        return len(self) == 1
 
 
 def sumset(a, b):
@@ -73,7 +68,7 @@ class Labeling:
         if extra:
             raise LabelError(f"labeling names unknown vertices {extra}")
         self.graph = graph
-        self.labels = dict(labels)
+        self.labels = labels
 
     def __eq__(self, other):
         if not isinstance(other, Labeling):
@@ -102,10 +97,6 @@ class Labeling:
     def from_json_dict(cls, d, graph):
         try:
             raw = d["labels"]
-            # Checked before IntegerSet deduplicates: JSON true equals 1,
-            # so [1, true] would otherwise collapse to {1}.
-            if set(map(type, chain.from_iterable(raw.values()))) - {int}:
-                raise LabelError("label elements must be integers")
             labels = {int(v): IntegerSet(s) for v, s in raw.items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise LabelError(f"bad labeling JSON: {exc}")
@@ -121,8 +112,7 @@ class Labeling:
         return cls.from_json_dict(json.loads(text), graph)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of an IASI / weak-IASI check.
 
     violations is a tuple of (kind, witness) pairs with kind in
@@ -170,7 +160,7 @@ def _verify(g, labeling, weak):
     """
     if g.n != labeling.graph.n or not g.edges <= labeling.graph.edges:
         raise LabelError("the labeling was made for a different graph")
-    sets = [labeling.labels[v].elements for v in range(g.n)]
+    sets = [labeling.labels[v] for v in range(g.n)]
     by_label = {}
     for v, s in enumerate(sets):
         by_label.setdefault(s, []).append(v)

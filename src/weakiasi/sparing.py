@@ -20,7 +20,7 @@ scale.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 DEFAULT_ORACLE_BOUND = 24
 ORACLE_BOUND_ENV = "WEAKIASI_ORACLE_BOUND"
@@ -35,14 +35,27 @@ class SparingError(ValueError):
     oracle bound in the environment."""
 
 
-@dataclass(frozen=True)
-class SparingResult:
-    """Optimal mono-edge count plus the witness non-singleton vertex set."""
+class SparingResult(NamedTuple):
+    """Optimal mono-edge count plus the witness non-singleton vertex set.
+
+    nodes, the search size, stays out of ==, != and hash.
+    """
 
     value: int
     witness: tuple
     method: str
-    nodes: int = field(default=0, compare=False)
+    nodes: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, SparingResult):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     def to_json_dict(self, formula_value=None):
         d = {"value": self.value, "witness": list(self.witness), "method": self.method}

@@ -331,6 +331,19 @@ class TestModuleEntryPoint:
         assert "usage: weakiasi" in proc.stdout
 
 
+class TestColdStart:
+    def test_import_pulls_in_no_dataclasses_or_inspect(self):
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import weakiasi.cli; "
+                "print(' '.join(sorted(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.split())
+        assert "weakiasi.cli" in modules
+        assert not modules & {"dataclasses", "inspect"}
+
+
 class TestStrictInput:
     @pytest.mark.parametrize("graph", [
         {"n": "3", "edges": [[0, 1], [1, 2]]},
@@ -386,6 +399,20 @@ class TestOutputErrors:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("output error: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command", ["build", "label", "verify"])
+    def test_unwritable_dot_writes_no_out_file(self, graphs, tmp_path, command):
+        labels = tmp_path / "l.json"
+        labels.write_text(json.dumps({"labels": {"0": [1], "1": [2], "2": [4], "3": [8]}}))
+        inputs = {"build": ["--op", "cartesian", "--g1", graphs["p3"], "--g2", graphs["p3"]],
+                  "label": ["--op", "cartesian", "--g1", graphs["p3"], "--g2", graphs["p3"]],
+                  "verify": ["--graph", graphs["c4"], "--labels", str(labels)]}
+        out = tmp_path / "out.json"
+        code = main([command, *inputs[command], "--out", str(out),
+                     "--dot", str(tmp_path / "missing" / "x.dot")])
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestLargeProduct:

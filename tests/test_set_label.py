@@ -47,6 +47,11 @@ class TestIntegerSet:
         with pytest.raises(LabelError):
             IntegerSet([-1, 2])
 
+    @pytest.mark.parametrize("elements", [[1, True], [True], [1, 2.0], ["1"]])
+    def test_rejects_non_int_elements_before_deduplicating(self, elements):
+        with pytest.raises(LabelError):
+            IntegerSet(elements)
+
 
 class TestSumset:
     def test_singleton_shift(self):

@@ -59,6 +59,10 @@ class Graph(_GraphFields):
                 )
         return super().__new__(cls, n, frozenset(norm))
 
+    def __getnewargs__(self):
+        # Copies and unpickling rebuild through __new__; keep accepted isolated vertices.
+        return self.n, self.edges, True
+
     @property
     def m(self):
         return len(self.edges)

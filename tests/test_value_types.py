@@ -5,6 +5,9 @@ orders like its sorted element tuple and prints as {1,2}; a
 SparingResult's search-node count stays out of equality.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from weakiasi.constructions import LabelPlan
@@ -28,7 +31,9 @@ def _report(sets=([1], [2, 3], [7])):
 # Each entry: a factory making a fresh instance, a differing instance, and
 # one field name.
 RECORDS = {
-    "Graph": (lambda: Graph(3, [(0, 1), (2, 1)]), Graph(3, [(0, 1)], allow_isolated=True), "n"),
+    # Vertex 3 is isolated, so copies must keep accepting it.
+    "Graph": (lambda: Graph(4, [(0, 1), (2, 1)], allow_isolated=True),
+              Graph(3, [(0, 1)], allow_isolated=True), "n"),
     "ProductVertexMap": (lambda: ProductVertexMap(2, 3), ProductVertexMap(3, 2), "n1"),
     "CoronaVertexMap": (lambda: CoronaVertexMap(2, 3), CoronaVertexMap(3, 2), "p1"),
     "RootedVertexMap": (lambda: RootedVertexMap(2, 3, 0), RootedVertexMap(2, 3, 1), "root"),
@@ -59,6 +64,13 @@ def test_fields_cannot_be_assigned(name):
     value = make()
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_copies_and_pickles_are_equal(name):
+    value = RECORDS[name][0]()
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and type(clone) is type(value)
 
 
 class TestIntegerSet:

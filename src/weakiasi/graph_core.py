@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -52,10 +53,12 @@ class Graph(_GraphFields):
                 raise GraphError(f"self-loop at vertex {u}")
         if not allow_isolated:
             touched = {w for e in norm for w in e}
-            isolated = [v for v in range(n) if v not in touched]
-            if isolated:
+            if len(touched) < n:
+                # Name ten at most: a tiny input can declare a huge n.
+                first = list(islice((v for v in range(n) if v not in touched), 10))
                 raise GraphError(
-                    f"isolated vertices {isolated}; pass allow_isolated=True to accept"
+                    f"{n - len(touched)} of {n} vertices are isolated "
+                    f"(first: {first}); pass allow_isolated=True to accept"
                 )
         return super().__new__(cls, n, frozenset(norm))
 

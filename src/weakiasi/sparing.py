@@ -13,8 +13,16 @@ oracle solves it by branch and bound with bitset state. Its bound is the
 number of edges with an endpoint among the vertices still eligible: an
 independent set covers each edge at most once, and every edge at an
 eligible vertex is still uncovered, because the chosen vertices' neighbours
-are no longer eligible. A configurable vertex cap keeps the search at desk
-scale.
+are no longer eligible. The bound is updated per branch from the vertices
+that leave, not recounted.
+
+Deciding a vertex often splits the eligible vertices into parts with no
+edge between them; in a corona or rooted product each copy of the second
+factor falls away once its hub is decided. Parts are independent
+subproblems, so at every node that survives the bound the oracle solves
+each part but the largest exactly, remembers the answer per part, and
+branches on the largest part alone, keeping the incumbent for the global
+bound. A configurable vertex cap keeps the search at desk scale.
 """
 
 from __future__ import annotations
@@ -87,20 +95,25 @@ def _adj_masks(g):
     return masks
 
 
-def _max_coverage(n, adj, deg, target=None, fixed_mask=0, start_cov=0):
-    """Max degree-sum over independent sets inside the available mask.
+def _exact_search(g):
+    """Best coverage and lex-smallest witness of g, plus the node count.
 
-    With target set, returns True as soon as start_cov plus a search gain
-    reaches it (and False if unreachable); otherwise returns the maximum.
-    Either way the second return value is the number of search nodes.
-    Branching follows descending degree; the bound is the number of edges
-    with an endpoint still eligible, sum deg(avail) - |E[avail]|, since an
-    independent set covers each such edge at most once and none of them
-    is covered yet.
+    Returns (best_cov, witness, nodes). See sparing_exact for the search.
     """
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
-    best = [start_cov if target is None else None]
-    nodes = [0]
+    degree = [m.bit_count() for m in _adj_masks(g)]
+    # Search bit i is the i-th vertex in branching order (descending
+    # degree, then index), so the next branching vertex is the lowest bit.
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[rank[u]] |= 1 << rank[v]
+        adj[rank[v]] |= 1 << rank[u]
+    deg = [degree[v] for v in order]
+    memo = {}  # part mask -> (its edge-count bound, its best coverage)
+    nodes = 0
 
     def edge_bound(avail):
         total = inner = 0
@@ -113,71 +126,141 @@ def _max_coverage(n, adj, deg, target=None, fixed_mask=0, start_cov=0):
             m ^= lsb
         return total - inner // 2
 
-    def dfs(avail, cov):
-        nodes[0] += 1
-        if target is not None:
-            if cov >= target:
-                best[0] = True
-                return True
-            if cov + edge_bound(avail) < target:
-                return False
-        else:
-            if cov > best[0]:
-                best[0] = cov
-            if cov + edge_bound(avail) <= best[0]:
-                return False
-        v = next((u for u in order if avail >> u & 1), None)
-        if v is None:
-            return target is not None and cov >= target
-        bit = 1 << v
-        if dfs(avail & ~(bit | adj[v]), cov + deg[v]):
-            return True
-        return dfs(avail & ~bit, cov)
+    def lost(taken, avail):
+        """How far the edge-count bound of avail falls when the vertices of
+        taken leave it: their edges to vertices already out of avail, and
+        the edges among them."""
+        outside = ~avail
+        out = inner = 0
+        m = taken
+        while m:
+            low = m & -m
+            a = adj[low.bit_length() - 1]
+            out += (a & outside).bit_count()
+            inner += (a & taken).bit_count()
+            m ^= low
+        return out + inner // 2
 
-    hit = dfs(((1 << n) - 1) & ~fixed_mask, start_cov)
-    if target is not None:
-        return bool(hit), nodes[0]
-    return best[0], nodes[0]
+    def parts_of(avail):
+        """The connected parts of avail, as masks."""
+        parts = []
+        rest = avail
+        while rest:
+            part = layer = rest & -rest
+            while layer:
+                grow = 0
+                while layer:
+                    low = layer & -layer
+                    grow |= adj[low.bit_length() - 1]
+                    layer ^= low
+                layer = grow & rest & ~part
+                part |= layer
+            parts.append(part)
+            rest ^= part
+        return parts
+
+    def peel(parts):
+        """The largest part, plus the bound and the best coverage summed
+        over the others, each solved exactly once per call."""
+        largest = max(parts, key=int.bit_count)
+        bound = cov = 0
+        for part in parts:
+            if part != largest:
+                known = memo.get(part)
+                if known is None:
+                    part_bound = edge_bound(part)
+                    known = memo[part] = (
+                        part_bound, gain(part, 0, part_bound, 0, part_bound + 1))
+                bound += known[0]
+                cov += known[1]
+        return largest, bound, cov
+
+    def gain(avail, cov, bound, best, goal):
+        """max(best, cov + the best coverage inside avail), where bound is
+        the edge-count bound of avail; or, as soon as that reaches goal,
+        any value of at least goal."""
+        nonlocal nodes
+        nodes += 1
+        if cov > best:
+            best = cov
+        if cov + bound <= best or best >= goal:
+            return best
+        parts = parts_of(avail)
+        if len(parts) > 1:
+            avail, peeled_bound, peeled = peel(parts)
+            bound -= peeled_bound
+            cov += peeled
+            if cov > best:
+                best = cov
+            if cov + bound <= best or best >= goal:
+                return best
+        bit = avail & -avail
+        v = bit.bit_length() - 1
+        if bit == avail:
+            return max(cov + deg[v], best)
+        taken = bit | (adj[v] & avail)
+        best = gain(avail ^ taken, cov + deg[v],
+                    bound - lost(taken, avail), best, goal)
+        if best >= goal:
+            return best
+        return gain(avail ^ bit, cov, bound - lost(bit, avail), best, goal)
+
+    everything = (1 << g.n) - 1
+    best_cov = gain(everything, 0, g.m, 0, g.m + 1)
+    witness = []
+    blocked = 0  # search bits of the chosen vertices and their neighbours
+    done = 0  # search bits of the vertices already decided
+    cov = 0
+    for v in range(g.n):
+        if cov == best_cov:
+            break
+        i = rank[v]
+        bit = 1 << i
+        done |= bit
+        if blocked & bit:
+            continue
+        # Can the best coverage still be reached with v and later vertices?
+        later = everything & ~(blocked | adj[i] | done)
+        if gain(later, cov + deg[i], edge_bound(later),
+                best_cov - 1, best_cov) == best_cov:
+            witness.append(v)
+            blocked |= bit | adj[i]
+            cov += deg[i]
+    return best_cov, tuple(witness), nodes
 
 
 def sparing_exact(g, oracle_bound=None):
     """Exact sparing number with a lexicographically smallest witness.
 
+    The search branches on the eligible vertex of highest degree (lowest
+    index on ties): take it, or leave it out. At each node that survives
+    the edge-count bound, the eligible vertices are split into connected
+    parts. Every part but the largest is solved exactly, by the same
+    search with its own incumbent, and its value is added to the
+    coverage; the node then branches on the largest part with the
+    incumbent it already had. Part values are memoized by vertex mask in
+    a dict that lives for this one call. It needs no cap: each entry is
+    made by a search node, so the memo never outgrows the node count.
+
     Witness ties are broken by Python tuple order on the sorted vertex
     list, so a prefix beats any of its extensions. The witness is built
     greedily vertex by vertex, each step validated by a reachability run
-    of the same branch-and-bound. The result's nodes field counts the
-    search nodes of the maximum search and of every reachability run.
+    of the same search, which peels parts and shares the memo too. Taking
+    the union of each part's own lex-smallest witness would be wrong: a
+    part with a vertex of degree 0 prefers the shorter set, which can lose
+    to an extension in the whole graph's tuple order.
+
+    The result's nodes field counts every search node: those of the
+    maximum search, of every reachability run, and of every exact solve
+    of a peeled part. A memo hit costs no node.
     """
     bound = oracle_bound if oracle_bound is not None else oracle_bound_default()
     if g.n > bound:
         raise CapacityError(
-            f"graph has {g.n} vertices, exact oracle bound is {bound}"
-        )
-    adj = _adj_masks(g)
-    deg = [m.bit_count() for m in adj]
-    best_cov, nodes = _max_coverage(g.n, adj, deg)
-
-    chosen = []
-    blocked = 0  # chosen vertices and their neighborhoods
-    cov = 0
-    for v in range(g.n):
-        if cov == best_cov:
-            break
-        if blocked >> v & 1:
-            continue
-        reachable, run_nodes = _max_coverage(
-            g.n, adj, deg,
-            target=best_cov,
-            fixed_mask=blocked | adj[v] | ((1 << (v + 1)) - 1),
-            start_cov=cov + deg[v],
-        )
-        nodes += run_nodes
-        if reachable:
-            chosen.append(v)
-            blocked |= (1 << v) | adj[v]
-            cov += deg[v]
-    return SparingResult(value=g.m - best_cov, witness=tuple(chosen),
+            f"graph has {g.n} vertices, exact oracle bound is {bound}; "
+            f"raise it with --oracle-bound or {ORACLE_BOUND_ENV}")
+    best_cov, witness, nodes = _exact_search(g)
+    return SparingResult(value=g.m - best_cov, witness=witness,
                          method="exact-oracle", nodes=nodes)
 
 

@@ -114,6 +114,17 @@ class TestSparing:
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_CAPACITY
 
+    def test_capacity_error_names_both_ways_to_raise_the_bound(self, tmp_path,
+                                                                capsys):
+        p = tmp_path / "c12.json"
+        p.write_text(cycle_graph(12).to_json())
+        code = main(["sparing", "--graph", str(p), "--oracle-bound", "6",
+                     "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "12 vertices" in err and "bound is 6" in err
+        assert "--oracle-bound" in err and "WEAKIASI_ORACLE_BOUND" in err
+
     def test_oracle_bound_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", "6")
         from weakiasi.sparing import oracle_bound_default
@@ -357,6 +368,15 @@ class TestStrictInput:
         proc = run_module("sparing", "--graph", str(p))
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
+
+    def test_huge_isolated_vertex_count_is_a_short_parse_error(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 10 ** 6, "edges": []}))
+        proc = run_module("sparing", "--graph", str(p))
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
+        assert "1000000 of 1000000 vertices are isolated" in proc.stderr
 
     @pytest.mark.parametrize("label", [[True], [1, True]], ids=["true", "one-and-true"])
     def test_bool_label_element_is_parse_error(self, graphs, tmp_path, label):

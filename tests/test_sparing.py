@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from weakiasi.constructions import LabelPlan, assign_concrete_sets
 from weakiasi.graph_core import (
     Graph,
+    cartesian_product,
     complete_graph,
+    corona,
     cycle_graph,
     disjoint_union,
     is_bipartite,
     path_graph,
+    rooted_product,
     star_graph,
 )
 from weakiasi.set_label import mono_indexed_stats, verify_weak_iasi
@@ -153,6 +156,79 @@ class TestExactOracle:
             assert verify_weak_iasi(g, lab).passed
             _, mono, _ = mono_indexed_stats(g, lab)
             assert mono == res.value
+
+
+@st.composite
+def factor(draw, n):
+    """A graph on n vertices with random edges; isolated vertices allowed."""
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k], allow_isolated=True)
+
+
+@st.composite
+def split_products(draw):
+    """A corona or rooted product of random factors, at most 14 vertices."""
+    if draw(st.booleans()):
+        n1 = draw(st.integers(1, 4))
+        n2 = draw(st.integers(1, 14 // n1 - 1))
+        return corona(draw(factor(n1)), draw(factor(n2)))[0]
+    n1 = draw(st.integers(1, 7))
+    n2 = draw(st.integers(1, 14 // n1))
+    root = draw(st.integers(0, n2 - 1))
+    return rooted_product(draw(factor(n1)), draw(factor(n2)), root)[0]
+
+
+def independent_sets(g):
+    for size in range(g.n + 1):
+        for verts in itertools.combinations(range(g.n), size):
+            if not any(g.has_edge(u, v) for u, v in itertools.combinations(verts, 2)):
+                yield verts
+
+
+def corona_sparing_identity(g1, g2):
+    """phi(g1 (.) g2) = m1 + n1(m2 + n2) - n1*W2 - MWIS(g1, w), by brute force
+    over the factors' independent sets. W2 is the best sum of deg2(v) + 1
+    over an independent set of g2, and w_i = max(0, deg1(i) + n2 - W2)."""
+    deg1 = [len(a) for a in g1.adjacency()]
+    deg2 = [len(a) for a in g2.adjacency()]
+    w2 = max(sum(deg2[v] + 1 for v in s) for s in independent_sets(g2))
+    weight = [max(0, deg1[i] + g2.n - w2) for i in range(g1.n)]
+    mwis = max(sum(weight[i] for i in s) for s in independent_sets(g1))
+    return g1.m + g1.n * (g2.m + g2.n) - g1.n * w2 - mwis
+
+
+class TestComponentSplitting:
+    """Deciding a hub splits a corona or rooted product into parts, which
+    the oracle solves apart; values and witnesses must not change."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(split_products())
+    def test_agrees_with_brute_force_on_split_products(self, g):
+        fast = sparing_exact(g)
+        slow = sparing_brute_force(g)
+        assert (fast.value, fast.witness) == (slow.value, slow.witness)
+
+    # Node counts do not depend on the hardware. Splitting must not cost
+    # nodes on a grid, which rarely splits: 27,203 is what C7 x C7 needs
+    # with the edge-count bound alone.
+    @pytest.mark.parametrize("g, ceiling", [
+        (corona(cycle_graph(5), cycle_graph(5))[0], 999),
+        (cartesian_product(cycle_graph(7), cycle_graph(7))[0], 27203),
+    ], ids=["C5 corona C5", "C7 x C7"])
+    def test_node_count(self, g, ceiling):
+        assert sparing_exact(g, oracle_bound=64).nodes <= ceiling
+
+    def test_c7_corona_c7_matches_the_corona_identity(self):
+        g1 = g2 = cycle_graph(7)
+        res = sparing_exact(corona(g1, g2)[0], oracle_bound=64)
+        assert res.nodes < 2000
+        assert res.value == corona_sparing_identity(g1, g2) == 42
+
+    def test_corona_identity_on_small_factors(self):
+        for g1, g2 in itertools.product(FAMILIES[:6], repeat=2):
+            assert (sparing_exact(corona(g1, g2)[0], oracle_bound=64).value
+                    == corona_sparing_identity(g1, g2))
 
 
 class TestFormulas:

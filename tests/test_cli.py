@@ -34,7 +34,13 @@ from weakiasi.graph_core import (
     path_graph,
     rooted_product,
 )
-from weakiasi.set_label import IntegerSet, Labeling, mono_indexed_stats
+from weakiasi.set_label import (
+    IntegerSet,
+    Labeling,
+    mono_indexed_stats,
+    verify_iasi,
+    verify_weak_iasi,
+)
 from weakiasi.sparing import sparing_formula_corona
 
 OPS = ["cartesian", "direct", "strong", "lex", "corona", "rooted"]
@@ -166,6 +172,61 @@ class TestVerify:
         code = main(["verify", "--graph", graphs["c4"], "--labels", str(labels),
                      "--out", str(tmp_path / "rep.json")])
         assert code == EXIT_OK
+
+
+def _failing_case():
+    """A labeling with every violation kind. Its duplicate edge groups are
+    mono sums 2 and 5 and shifted labels {2,12} and {5,15}, so the report
+    interleaves single-element and longer edge labels in sorted order."""
+    g = Graph(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7),
+                   (8, 9), (9, 10), (10, 11), (8, 11)])
+    labels = {0: [1], 1: [4], 2: [3], 3: [2], 4: [0, 10], 5: [1, 2], 6: [1],
+              7: [1, 11], 8: [0], 9: [2], 10: [0], 11: [5, 15]}
+    return g, Labeling(g, {v: IntegerSet(s) for v, s in labels.items()})
+
+
+def _passing_case():
+    g, _ = cartesian_product(cycle_graph(5), cycle_graph(4))
+    return g, optimal_labeling(g)
+
+
+# SHA-256 of the indent-2 report bytes that `verify --out` writes, taken
+# before the verifier moved to keyed, collision-only grouping. The CLI
+# writes the verify_weak_iasi report; verify_iasi's is hashed in process.
+VERIFY_GOLDEN = {
+    ("passing", "verify_weak_iasi"): "28cf454195d7010c6383dc33bcc8718a19a366cab7e251e5ac7b6837eacc1b87",
+    ("passing", "verify_iasi"): "28cf454195d7010c6383dc33bcc8718a19a366cab7e251e5ac7b6837eacc1b87",
+    ("failing", "verify_weak_iasi"): "8a6879f7b45940fbeb8fbf421ebab1da9c75e209b687366e769de15f3670a811",
+    ("failing", "verify_iasi"): "eb94b91e65142c3c421077fc9bbfd630c8abe75f6cc7effea4c040c8c5fcb292",
+}
+VERIFY_CASES = {"passing": (_passing_case, EXIT_OK), "failing": (_failing_case, EXIT_VERIFY)}
+
+
+class TestVerifyPin:
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    def test_verify_out_bytes_are_pinned(self, tmp_path, case):
+        make, code = VERIFY_CASES[case]
+        g, lab = make()
+        graph, labels, out = tmp_path / "g.json", tmp_path / "l.json", tmp_path / "r.json"
+        graph.write_text(g.to_json())
+        labels.write_text(lab.to_json())
+        assert main(["verify", "--graph", str(graph), "--labels", str(labels),
+                     "--out", str(out)]) == code
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == VERIFY_GOLDEN[case, "verify_weak_iasi"]
+
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    def test_verify_iasi_report_bytes_are_pinned(self, case):
+        g, lab = VERIFY_CASES[case][0]()
+        text = json.dumps(verify_iasi(g, lab).to_json_dict(), indent=2) + "\n"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == VERIFY_GOLDEN[case, "verify_iasi"]
+
+    def test_failing_case_has_every_violation_kind(self):
+        g, lab = _failing_case()
+        kinds = {kind for kind, _ in verify_weak_iasi(g, lab).violations}
+        assert kinds == {"duplicate-vertex-label", "duplicate-edge-label",
+                         "weak-condition-failed", "adjacent-non-singletons"}
 
 
 class TestLabel:

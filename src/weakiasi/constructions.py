@@ -313,10 +313,8 @@ def assign_concrete_sets(g, plan, sizes=None):
     non_singleton = set(plan.non_singleton)
     if any(not 0 <= v < g.n for v in non_singleton):
         raise PlanError("plan names vertices outside the graph")
-    adj = g.adjacency()
-    for v in non_singleton:
-        if adj[v] & non_singleton:
-            raise PlanError("plan's non-singleton set is not independent")
+    if any(u in non_singleton and v in non_singleton for u, v in g.edges):
+        raise PlanError("plan's non-singleton set is not independent")
     sizes = dict(sizes or {})
     for v, size in sizes.items():
         if size < 2:

@@ -235,23 +235,21 @@ def _require_nonempty(g1, g2):
         raise GraphError("product factors must be nonempty")
 
 
-def _cartesian_edges(g1, g2, vmap):
-    edges = []
-    for i in range(g1.n):
-        for u, v in g2.edges:
-            edges.append((vmap.forward(i, u), vmap.forward(i, v)))
-    for j in range(g2.n):
-        for u, v in g1.edges:
-            edges.append((vmap.forward(u, j), vmap.forward(v, j)))
+def _grid_product(g1, g2, edges):
+    return Graph(g1.n * g2.n, edges, allow_isolated=True), ProductVertexMap(g1.n, g2.n)
+
+
+def _cartesian_edges(g1, g2):
+    n2 = g2.n
+    edges = [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edges]
+    edges += [(u * n2 + j, v * n2 + j) for j in range(n2) for u, v in g1.edges]
     return edges
 
 
-def _direct_edges(g1, g2, vmap):
-    edges = []
-    for u1, v1 in g1.edges:
-        for u2, v2 in g2.edges:
-            edges.append((vmap.forward(u1, u2), vmap.forward(v1, v2)))
-            edges.append((vmap.forward(u1, v2), vmap.forward(v1, u2)))
+def _direct_edges(g1, g2):
+    n2 = g2.n
+    edges = [(u1 * n2 + u2, v1 * n2 + v2) for u1, v1 in g1.edges for u2, v2 in g2.edges]
+    edges += [(u1 * n2 + v2, v1 * n2 + u2) for u1, v1 in g1.edges for u2, v2 in g2.edges]
     return edges
 
 
@@ -259,39 +257,30 @@ def cartesian_product(g1, g2):
     """Cartesian product: (u1,u2) ~ (v1,v2) iff equal in one coordinate and
     adjacent in the other."""
     _require_nonempty(g1, g2)
-    vmap = ProductVertexMap(g1.n, g2.n)
-    return Graph(g1.n * g2.n, _cartesian_edges(g1, g2, vmap), allow_isolated=True), vmap
+    return _grid_product(g1, g2, _cartesian_edges(g1, g2))
 
 
 def direct_product(g1, g2):
     """Direct (tensor) product: adjacent iff adjacent in both coordinates."""
     _require_nonempty(g1, g2)
-    vmap = ProductVertexMap(g1.n, g2.n)
-    return Graph(g1.n * g2.n, _direct_edges(g1, g2, vmap), allow_isolated=True), vmap
+    return _grid_product(g1, g2, _direct_edges(g1, g2))
 
 
 def strong_product(g1, g2):
     """Strong product: union of the Cartesian and direct product edge sets."""
     _require_nonempty(g1, g2)
-    vmap = ProductVertexMap(g1.n, g2.n)
-    edges = _cartesian_edges(g1, g2, vmap) + _direct_edges(g1, g2, vmap)
-    return Graph(g1.n * g2.n, edges, allow_isolated=True), vmap
+    return _grid_product(g1, g2, _cartesian_edges(g1, g2) + _direct_edges(g1, g2))
 
 
 def lexicographic_product(g1, g2):
     """Lexicographic product g1 o g2: adjacent iff adjacent in g1, or equal
     in g1 and adjacent in g2. Not symmetric in its arguments."""
     _require_nonempty(g1, g2)
-    vmap = ProductVertexMap(g1.n, g2.n)
-    edges = []
-    for u, v in g1.edges:
-        for j in range(g2.n):
-            for k in range(g2.n):
-                edges.append((vmap.forward(u, j), vmap.forward(v, k)))
-    for i in range(g1.n):
-        for u, v in g2.edges:
-            edges.append((vmap.forward(i, u), vmap.forward(i, v)))
-    return Graph(g1.n * g2.n, edges, allow_isolated=True), vmap
+    n2 = g2.n
+    edges = [(u * n2 + j, v * n2 + k)
+             for u, v in g1.edges for j in range(n2) for k in range(n2)]
+    edges += [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edges]
+    return _grid_product(g1, g2, edges)
 
 
 def corona(g1, g2):

@@ -10,6 +10,7 @@ for malformed input.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -28,9 +29,12 @@ class IntegerSet(tuple):
             raise LabelError("set-labels must be nonempty")
         # Checked before deduplicating: bool is a subclass of int and True
         # equals 1, so [1, True] would otherwise collapse to {1}.
-        if any(type(x) is not int or x < 0 for x in elements):
-            raise LabelError("set-labels contain non-negative integers only")
-        return super().__new__(cls, sorted(set(elements)))
+        for x in elements:
+            if type(x) is not int or x < 0:
+                raise LabelError("set-labels contain non-negative integers only")
+        if len(elements) > 1:
+            elements = sorted(set(elements))
+        return super().__new__(cls, elements)
 
     @property
     def elements(self):
@@ -61,12 +65,18 @@ class Labeling:
     def __init__(self, graph, labels):
         labels = {v: (s if isinstance(s, IntegerSet) else IntegerSet(s))
                   for v, s in labels.items()}
-        missing = [v for v in range(graph.n) if v not in labels]
-        if missing:
-            raise LabelError(f"labeling misses vertices {missing}")
-        extra = [v for v in labels if not 0 <= v < graph.n]
-        if extra:
-            raise LabelError(f"labeling names unknown vertices {extra}")
+        # n keys in range cover the graph. A tiny input can name a huge one,
+        # so messages give counts and ten vertex ids at most.
+        vertices = range(graph.n)
+        extra = [v for v in labels if v not in vertices]
+        if extra or len(labels) != graph.n:
+            missing = graph.n - len(labels) + len(extra)
+            if missing:
+                first = list(islice((v for v in vertices if v not in labels), 10))
+                raise LabelError(f"labeling misses {missing} of {graph.n} vertices "
+                                 f"(first: {first})")
+            raise LabelError(f"labeling names {len(extra)} unknown vertices "
+                             f"(first: {extra[:10]})")
         self.graph = graph
         self.labels = labels
 
@@ -142,62 +152,65 @@ def mono_indexed_stats(g, labeling):
     A mono-indexed element has set-indexing number 1; an edge is mono
     exactly when both endpoints carry singletons.
     """
-    r = sum(1 for v in range(g.n) if labeling[v].is_singleton())
-    mono_edges = [
-        (u, v)
-        for u, v in g.sorted_edges()
-        if labeling[u].is_singleton() and labeling[v].is_singleton()
-    ]
-    return r, len(mono_edges), mono_edges
+    single = [len(labeling[v]) == 1 for v in range(g.n)]
+    mono_edges = [(u, v) for u, v in g.sorted_edges() if single[u] and single[v]]
+    return sum(single), len(mono_edges), mono_edges
+
+
+def _collisions(items, keys):
+    """Groups of items that share a key, in the order of their keys as
+    tuples (an int k orders as (k,)). Distinct keys cost one set build."""
+    if len(set(keys)) == len(keys):
+        return []
+    groups = {}
+    for item, key in zip(items, keys):
+        groups.setdefault(key, []).append(item)
+    return [members for _, members in sorted(
+        (key if isinstance(key, tuple) else (key,), members)
+        for key, members in groups.items() if len(members) > 1)]
 
 
 def _verify(g, labeling, weak):
-    """Both verifiers in one pass over g's sorted edges.
+    """Both verifiers in one keyed pass over g's sorted edges.
 
-    Each edge's sumset is built once, as a sorted tuple, and only groups
-    of two or more vertices or edges are sorted. Per-edge weak-condition
-    violations are reported only when weak is true.
+    An edge's key is its label: the int a + b for a mono edge, the other
+    label shifted by s when one end is {s}, else the sorted sumset, the
+    only kind that can fail the weak condition (reported when weak is
+    true). Non-mono keys have two or more elements, so no int equals one.
+    Vertices and edges are grouped only when their labels collide.
     """
-    if g.n != labeling.graph.n or not g.edges <= labeling.graph.edges:
+    if g.n != labeling.graph.n or (labeling.graph is not g
+                                   and not g.edges <= labeling.graph.edges):
         raise LabelError("the labeling was made for a different graph")
-    sets = [labeling.labels[v] for v in range(g.n)]
-    by_label = {}
-    for v, s in enumerate(sets):
-        by_label.setdefault(s, []).append(v)
-    by_sum = {}
-    edge_violations = []
-    mono_edges = []
-    for e in g.sorted_edges():
-        a, b = sets[e[0]], sets[e[1]]
-        la, lb = len(a), len(b)
-        if la == 1 and lb == 1:
-            key = (a[0] + b[0],)
-            mono_edges.append(e)
-        elif la == 1:
-            s = a[0]
-            key = tuple(x + s for x in b)
-        elif lb == 1:
-            s = b[0]
-            key = tuple(x + s for x in a)
-        else:
-            key = tuple(sorted({x + y for x in a for y in b}))
+    sets = list(map(labeling.labels.__getitem__, range(g.n)))
+    single = [s[0] if len(s) == 1 else None for s in sets]
+    edges = g.sorted_edges()
+    keys, mono_edges, edge_violations = [], [], []
+    for e in edges:
+        u, v = e
+        x, y = single[u], single[v]
+        if x is None and y is None:
+            a, b = sets[u], sets[v]
+            key = tuple(sorted({p + q for p in a for q in b}))
             edge_violations.append(("adjacent-non-singletons", e))
-        if len(key) != max(la, lb):
-            edge_violations.append(("weak-condition-failed", e))
-        by_sum.setdefault(key, []).append(e)
+            if len(key) != max(len(a), len(b)):
+                edge_violations.append(("weak-condition-failed", e))
+        elif x is None:
+            key = tuple([t + y for t in sets[u]])
+        elif y is None:
+            key = tuple([t + x for t in sets[v]])
+        else:
+            key = x + y
+            mono_edges.append(e)
+        keys.append(key)
     violations = [("duplicate-vertex-label", tuple(vs))
-                  for _, vs in sorted(kv for kv in by_label.items() if len(kv[1]) > 1)]
+                  for vs in _collisions(range(g.n), sets)]
     violations += [("duplicate-edge-label", tuple(x for e in es for x in e))
-                   for _, es in sorted(kv for kv in by_sum.items() if len(kv[1]) > 1)]
+                   for es in _collisions(edges, keys)]
     if weak:
         violations += edge_violations
-    return VerificationReport(
-        passed=not violations,
-        violations=tuple(violations),
-        mono_vertex_count=sum(len(s) == 1 for s in sets),
-        mono_edge_count=len(mono_edges),
-        mono_edges=tuple(mono_edges),
-    )
+    return VerificationReport(not violations, tuple(violations),
+                              g.n - single.count(None), len(mono_edges), tuple(mono_edges))
 
 
 def verify_iasi(g, labeling):

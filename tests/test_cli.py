@@ -439,6 +439,17 @@ class TestStrictInput:
         assert len(proc.stderr.encode()) < 1024
         assert "1000000 of 1000000 vertices are isolated" in proc.stderr
 
+    def test_huge_unlabeled_vertex_count_is_a_short_parse_error(self, tmp_path):
+        graph, labels = tmp_path / "g.json", tmp_path / "l.json"
+        graph.write_text(json.dumps({"n": 10 ** 6, "edges": []}))
+        labels.write_text(json.dumps({"labels": {"0": [1]}}))
+        proc = run_module("verify", "--graph", str(graph), "--labels", str(labels),
+                          "--allow-isolated")
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
+        assert "misses 999999 of 1000000 vertices" in proc.stderr
+
     @pytest.mark.parametrize("label", [[True], [1, True]], ids=["true", "one-and-true"])
     def test_bool_label_element_is_parse_error(self, graphs, tmp_path, label):
         labels = tmp_path / "l.json"

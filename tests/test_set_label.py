@@ -52,6 +52,15 @@ class TestIntegerSet:
         with pytest.raises(LabelError):
             IntegerSet(elements)
 
+    @pytest.mark.parametrize("elements", [[], [-1], [True], [1.0], ["1"]],
+                             ids=["empty", "negative", "bool", "float", "str"])
+    def test_singletons_are_validated(self, elements):
+        with pytest.raises(LabelError):
+            IntegerSet(elements)
+
+    def test_singleton_equals_its_deduplicated_form(self):
+        assert IntegerSet((7,)) == IntegerSet([7, 7]) == (7,)
+
 
 class TestSumset:
     def test_singleton_shift(self):
@@ -210,6 +219,24 @@ def labeled_graphs(draw):
     return g, Labeling(g, dict(enumerate(sets)))
 
 
+@st.composite
+def colliding_labeled_graphs(draw):
+    """labeled_graphs plus two disjoint gadgets: mono edges with equal sums
+    and singleton-shifted edges with equal labels, so one report holds
+    duplicate groups of both key kinds, interleaved in key order."""
+    g, lab = draw(labeled_graphs())
+    total = draw(st.integers(0, 11))
+    x, y = draw(st.integers(0, total)), draw(st.integers(0, total))
+    base = draw(st.sets(st.integers(0, 11), min_size=2, max_size=3))
+    shift, d = draw(st.integers(0, 11)), draw(st.integers(1, 4))
+    gadget = [[x], [total - x], [y], [total - y],
+              [shift + d], sorted(base), [shift], sorted(b + d for b in base)]
+    g = disjoint_union(g, Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
+    labels = dict(lab.labels)
+    labels.update((g.n - 8 + i, s) for i, s in enumerate(gadget))
+    return g, Labeling(g, labels)
+
+
 class TestVerifierAgainstReference:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(labeled_graphs())
@@ -217,6 +244,27 @@ class TestVerifierAgainstReference:
         g, lab = case
         assert verify_weak_iasi(g, lab) == reference_report(g, lab, weak=True)
         assert verify_iasi(g, lab) == reference_report(g, lab, weak=False)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(colliding_labeled_graphs())
+    def test_mono_and_shifted_duplicates_match_reference(self, case):
+        g, lab = case
+        report = verify_weak_iasi(g, lab)
+        assert report == reference_report(g, lab, weak=True)
+        assert verify_iasi(g, lab) == reference_report(g, lab, weak=False)
+        groups = [w for kind, w in report.violations if kind == "duplicate-edge-label"]
+        mono = set(report.mono_edges)
+        assert any(w[:2] in mono for w in groups)
+        assert any(w[:2] not in mono for w in groups)
+
+    def test_labeling_of_a_supergraph_is_accepted(self):
+        sup = cycle_graph(5)
+        lab = L(sup, [1], [2, 3], [5], [7, 8], [11])
+        g = path_graph(5)
+        assert lab.graph is not g and g.edges < sup.edges
+        for verify, weak in ((verify_weak_iasi, True), (verify_iasi, False)):
+            assert verify(g, lab) == reference_report(g, lab, weak)
+            assert verify(g, lab) != verify(sup, lab)
 
     @pytest.mark.parametrize("labeled", [Graph(3, [(0, 1)], allow_isolated=True),
                                          path_graph(4)],

@@ -1,4 +1,5 @@
-"""The benchmark's tracer sees one product build and one plan per `label --op`.
+"""The benchmark's tracer sees one product build and one plan per `label --op`,
+and one graph load, labeling load and verifier call per `verify`.
 
 bench/child.py wraps the product builders and planners at every module
 attribute they are looked up by; constructions.PRODUCT_OPS calls them
@@ -34,3 +35,19 @@ def test_label_builds_one_product_and_makes_one_plan(tmp_path, op):
     names = [span[0] for span in json.loads(spans.read_text())["spans"]]
     assert names.count("graph_core.product") == 1
     assert names.count("constructions.plan") == 1
+
+
+def test_verify_loads_once_and_verifies_once(tmp_path):
+    g, spans = cycle_graph(6), tmp_path / "spans.json"
+    graph, labels = tmp_path / "c6.json", tmp_path / "labels.json"
+    graph.write_text(g.to_json())
+    labels.write_text(json.dumps({"labels": {str(v): [v] if v % 2 else [2 ** v, 2 ** v + 1]
+                                             for v in range(g.n)}}))
+    args = [sys.executable, "-I", os.path.join(ROOT, "bench", "child.py"),
+            os.path.join(ROOT, "src"), str(spans), "verify", "--graph", str(graph),
+            "--labels", str(labels), "--out", str(tmp_path / "out.json")]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    for name in ("set_label.verify", "set_label.labeling_load", "graph_core.load"):
+        assert names.count(name) == 1, name

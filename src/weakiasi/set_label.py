@@ -2,9 +2,10 @@
 
 A set-label is a finite nonempty set of non-negative integers. A labeling
 assigns one set-label to every vertex; the induced label of an edge uv is
-the sumset f(u) + f(v). The verifiers never raise on semantic failure:
-failure is data carried in a VerificationReport, exceptions are reserved
-for malformed input.
+the sumset f(u) + f(v). The verifiers key each edge once, as an int sum,
+a shifted label or (for two non-singletons) a sumset, and group labels
+only on collision. They never raise on semantic failure: failure is data
+carried in a VerificationReport, exceptions are reserved for malformed input.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def mono_indexed_stats(g, labeling):
 
 
 def _collisions(items, keys):
-    """Groups of items that share a key, in the order of their keys as
-    tuples (an int k orders as (k,)). Distinct keys cost one set build."""
+    """Groups of items sharing a key, ordered by key as a tuple (an int k as
+    (k,)). Distinct keys, as in a passing labeling, cost one set build."""
     if len(set(keys)) == len(keys):
         return []
     groups = {}
@@ -175,9 +176,8 @@ def _verify(g, labeling, weak):
 
     An edge's key is its label: the int a + b for a mono edge, the other
     label shifted by s when one end is {s}, else the sorted sumset, the
-    only kind that can fail the weak condition (reported when weak is
-    true). Non-mono keys have two or more elements, so no int equals one.
-    Vertices and edges are grouped only when their labels collide.
+    only kind that can fail the weak condition (reported when weak is true).
+    Non-mono keys have two or more elements, so no int equals one.
     """
     if g.n != labeling.graph.n or (labeling.graph is not g
                                    and not g.edges <= labeling.graph.edges):

@@ -121,6 +121,8 @@ def cmd_label(args):
     if args.op is None:
         g = _load_graph(args.graph, args.allow_isolated)
         labeling = _factor_labeling(g, args.labels, bound)
+        if args.labels:
+            constructions._require_weak(g, labeling, "--labels")
         plan = constructions.LabelPlan(
             frozenset(labeling.non_singleton_vertices()), "oracle-witness")
     else:

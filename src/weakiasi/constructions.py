@@ -4,10 +4,11 @@ Each planner takes the product graph and vertex map its builder returned,
 then the factors it reads, and decides which product vertices get
 non-singleton labels, following the corresponding constructive proof; the
 decisions are recorded as a LabelPlan whose non-singleton set is
-independent in the product by construction (conflicting designations are
-demoted to singleton and flagged). Concrete sets are then filled in by
-assign_concrete_sets, which guarantees the injectivity conditions
-regardless of which plan it is given:
+independent in the product: by proof for the direct, lexicographic,
+corona and rooted patterns, and by demoting (and flagging) conflicts in the
+Cartesian and strong planners. Concrete sets are then filled in by
+assign_concrete_sets, which guarantees the injectivity conditions for any
+independent plan:
 
   * singleton values form a Sidon set (all pairwise sums, doubles
     included, are distinct), so singleton-singleton edge sums are pairwise
@@ -16,9 +17,9 @@ regardless of which plan it is given:
     with p the least prime >= the singleton count, is built in linear time
     and stays below 2p^2 (mian_chowla keeps the greedy sequence as a
     reference);
-  * each non-singleton vertex gets a block of consecutive integers placed
-    above all singleton pairwise sums, one block per vertex with gaps wide
-    enough that shifted blocks from different vertices can never coincide.
+  * each non-singleton vertex gets a block of two consecutive integers
+    above all singleton pairwise sums, with gaps wide enough that shifted
+    blocks from different vertices can never coincide.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def _require_weak(g, labeling, who):
     report = verify_weak_iasi(g, labeling)
     if not report.passed:
         raise PlanError(f"{who} labeling is not a weak IASI: {report.violations}")
+    return report
 
 
 def _greedy_independent(g, candidates, provenance):
@@ -94,7 +96,8 @@ def plan_cartesian(product, vmap, g1, l1, g2):
     unavoidable conflicts between adjacent same-class copies are demoted
     greedily.
     """
-    _require_weak(g1, l1, "first factor")
+    mono_ends = {x for edge in _require_weak(g1, l1, "first factor").mono_edges
+                 for x in edge}
     bip = is_bipartite(g2)
     if bip.is_bipartite:
         side1 = set(bip.sides[1])
@@ -102,10 +105,6 @@ def plan_cartesian(product, vmap, g1, l1, g2):
     else:
         layer_class = [j % 2 for j in range(g2.n)]
     non_singleton1 = l1.non_singleton_vertices()
-    mono_ends = set()
-    for u, v in g1.edges:
-        if l1[u].is_singleton() and l1[v].is_singleton():
-            mono_ends.update((u, v))
     desired = set()
     for j in range(g2.n):
         for i in range(g1.n):
@@ -121,19 +120,14 @@ def plan_cartesian(product, vmap, g1, l1, g2):
 def plan_direct(product, vmap, g1, l1, g2):
     """Every g1-copy of the direct product repeats g1's pattern.
 
-    Two vertices with the same second coordinate are never adjacent in the
-    direct product, and non-singletons of l1 are independent in g1, so the
-    repeated pattern is independent without demotions.
+    Independent: (i, j) ~ (i', j') needs i ~ i', and l1's pattern is.
     """
     _require_weak(g1, l1, "first factor")
     non_singleton1 = l1.non_singleton_vertices()
     desired = {
         vmap.forward(i, j) for i in non_singleton1 for j in range(g2.n)
     }
-    plan = _greedy_independent(product, sorted(desired), "direct")
-    if plan.demoted:
-        raise PlanError("direct-product pattern unexpectedly conflicted")
-    return plan
+    return LabelPlan(frozenset(desired), "direct")
 
 
 def plan_strong(product, vmap, g1, l1, g2):
@@ -158,6 +152,7 @@ def plan_lexicographic(product, vmap, g1, g2, l2):
     copies at g1-neighbors, so only copies hosted on an independent set of
     g1 can carry non-singletons; all other copies are fully singleton.
     Hosts are chosen greedily in ascending g1-vertex order.
+    Independent: hosts are, and within a host copy l2's pattern is.
     """
     _require_weak(g2, l2, "second factor")
     adj1 = g1.adjacency()
@@ -167,16 +162,14 @@ def plan_lexicographic(product, vmap, g1, g2, l2):
             hosts.add(u)
     non_singleton2 = l2.non_singleton_vertices()
     desired = {vmap.forward(u, j) for u in hosts for j in non_singleton2}
-    plan = _greedy_independent(product, sorted(desired), "lexicographic")
-    if plan.demoted:
-        raise PlanError("lexicographic host pattern unexpectedly conflicted")
-    return plan
+    return LabelPlan(frozenset(desired), "lexicographic")
 
 
 def plan_corona(product, vmap, g1, l1, g2, l2):
     """Corona pattern: g1 keeps l1's pattern; copies attached to mono
     g1-vertices carry l2's pattern; copies attached to non-singleton
-    g1-vertices are fully singleton (1-uniform)."""
+    g1-vertices are fully singleton (1-uniform). Independent: l1's and l2's
+    patterns are, and a patterned copy's g1-vertex is singleton."""
     _require_weak(g1, l1, "first factor")
     _require_weak(g2, l2, "second factor")
     desired = set(l1.non_singleton_vertices())
@@ -184,10 +177,7 @@ def plan_corona(product, vmap, g1, l1, g2, l2):
     for i in range(g1.n):
         if l1[i].is_singleton():
             desired.update(vmap.copy_vertex(i, j) for j in non_singleton2)
-    plan = _greedy_independent(product, sorted(desired), "corona")
-    if plan.demoted:
-        raise PlanError("corona pattern unexpectedly conflicted")
-    return plan
+    return LabelPlan(frozenset(desired), "corona")
 
 
 def plan_rooted(product, vmap, g1, l1, g2, l2, root):
@@ -196,7 +186,8 @@ def plan_rooted(product, vmap, g1, l1, g2, l2, root):
     Copy i carries l2's pattern. The merged vertex takes l1's designation,
     except that a non-singleton l1 designation over a singleton copy root
     falls back to the root's singleton: the merged vertex is non-singleton
-    only when both l1 and l2's root say so.
+    only when both l1 and l2's root say so. Independent: merged vertices
+    follow l1 and copies l2, and a merged vertex needs both to agree.
     """
     _require_weak(g1, l1, "first factor")
     _require_weak(g2, l2, "second factor")
@@ -207,10 +198,7 @@ def plan_rooted(product, vmap, g1, l1, g2, l2, root):
         if not l1[i].is_singleton() and root_non_singleton:
             desired.add(vmap.merged_vertex(i))
         desired.update(vmap.copy_vertex(i, v) for v in non_singleton2)
-    plan = _greedy_independent(product, sorted(desired), "rooted")
-    if plan.demoted:
-        raise PlanError("rooted pattern unexpectedly conflicted")
-    return plan
+    return LabelPlan(frozenset(desired), "rooted")
 
 
 class ProductOp(NamedTuple):
@@ -300,44 +288,36 @@ def _erdos_turan(count):
     return [2 * p * k + k * k % p for k in range(count)]
 
 
-def assign_concrete_sets(g, plan, sizes=None):
+def assign_concrete_sets(g, plan):
     """Turn a plan into an actual labeling that passes verify_weak_iasi.
 
-    sizes optionally maps non-singleton vertices to their label size
-    (default 2, minimum 2). Singletons take the Erdos-Turan Sidon values
-    in ascending vertex order; each non-singleton vertex gets its own block
-    of consecutive integers above every singleton pairwise sum, blocks
-    spaced so that singleton-shifted copies of different blocks stay
-    disjoint.
+    Singletons take the Erdos-Turan Sidon values in ascending vertex order;
+    each non-singleton vertex gets its own two-element block of consecutive
+    integers above every singleton pairwise sum, blocks spaced so that
+    singleton-shifted copies of different blocks stay disjoint.
     """
     non_singleton = set(plan.non_singleton)
     if any(not 0 <= v < g.n for v in non_singleton):
         raise PlanError("plan names vertices outside the graph")
     if any(u in non_singleton and v in non_singleton for u, v in g.edges):
         raise PlanError("plan's non-singleton set is not independent")
-    sizes = dict(sizes or {})
-    for v, size in sizes.items():
-        if size < 2:
-            raise PlanError(f"non-singleton size for vertex {v} must be >= 2")
 
     singles = [v for v in range(g.n) if v not in non_singleton]
     sidon = _erdos_turan(len(singles))
     labels = {v: IntegerSet([x]) for v, x in zip(singles, sidon)}
 
     max_single = sidon[-1] if singles else 0
-    span = max([sizes.get(v, 2) for v in non_singleton], default=2)
     base = 2 * max_single + 1  # above every singleton pairwise sum
-    stride = base + span + 1   # shifted blocks of distinct vertices disjoint
+    stride = base + 3          # shifted blocks of distinct vertices disjoint
     for k, v in enumerate(sorted(non_singleton)):
         offset = base + k * stride
-        size = sizes.get(v, 2)
-        labels[v] = IntegerSet(range(offset, offset + size))
+        labels[v] = IntegerSet((offset, offset + 1))
     return Labeling(g, labels)
 
 
-def build_labeling(g, plan, sizes=None):
+def build_labeling(g, plan):
     """assign_concrete_sets plus a verification pass; returns (labeling, report)."""
-    labeling = assign_concrete_sets(g, plan, sizes)
+    labeling = assign_concrete_sets(g, plan)
     return labeling, verify_weak_iasi(g, labeling)
 
 

@@ -66,14 +66,16 @@ class Labeling:
     def __init__(self, graph, labels):
         labels = {v: (s if isinstance(s, IntegerSet) else IntegerSet(s))
                   for v, s in labels.items()}
-        # n keys in range cover the graph. A tiny input can name a huge one,
-        # so messages give counts and ten vertex ids at most.
+        # n int keys in range cover the graph (1.0 and True equal a vertex
+        # but are not one). A tiny input can name a huge graph, so messages
+        # give counts and ten vertex ids at most.
         vertices = range(graph.n)
-        extra = [v for v in labels if v not in vertices]
+        extra = [v for v in labels if type(v) is not int or v not in vertices]
         if extra or len(labels) != graph.n:
             missing = graph.n - len(labels) + len(extra)
             if missing:
-                first = list(islice((v for v in vertices if v not in labels), 10))
+                keys = {v for v in labels if type(v) is int}
+                first = list(islice((v for v in vertices if v not in keys), 10))
                 raise LabelError(f"labeling misses {missing} of {graph.n} vertices "
                                  f"(first: {first})")
             raise LabelError(f"labeling names {len(extra)} unknown vertices "

@@ -459,6 +459,19 @@ class TestStrictInput:
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("inputs", [["--graph", "p3"],
+                                        ["--op", "cartesian", "--g1", "p3", "--g2", "p3"]],
+                             ids=["graph", "op"])
+    def test_label_rejects_labels_that_are_not_a_weak_iasi(self, graphs, tmp_path, inputs):
+        labels, out = tmp_path / "l.json", tmp_path / "out.json"
+        labels.write_text(json.dumps({"labels": {"0": [5], "1": [5], "2": [5]}}))
+        proc = run_module("label", *[graphs.get(a, a) for a in inputs],
+                          "--labels", str(labels), "--out", str(out))
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr.startswith("input error: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_non_utf8_graph_is_parse_error(self, tmp_path):
         p = tmp_path / "g.json"
         p.write_bytes(b"\xff\xfe" + json.dumps({"n": 2, "edges": [[0, 1]]}).encode())

@@ -148,15 +148,6 @@ class TestAssignConcreteSets:
         assert rep.mono_edge_count == sum(1 for e in g.edges if not set(e) & plan)
         assert is_sidon([lab[v].elements[0] for v in range(g.n) if v not in plan])
 
-    def test_custom_sizes(self):
-        g = cycle_graph(4)
-        lab = assign_concrete_sets(g, LabelPlan(frozenset({0, 2}), "test"),
-                                   sizes={0: 3, 2: 5})
-        assert len(lab[0]) == 3 and len(lab[2]) == 5
-        assert verify_weak_iasi(g, lab).passed
-        with pytest.raises(PlanError):
-            assign_concrete_sets(g, LabelPlan(frozenset({0}), "test"), sizes={0: 1})
-
 
 class TestPlanCartesian:
     def test_p2_box_p2_alternates(self):
@@ -388,6 +379,8 @@ class TestEveryOpOnRandomFactors:
             product, vmap = spec.build(g1, g2, root)
             plan = spec.plan(product, vmap, g1, l1, g2, l2, root)
             assert_independent(product, plan.non_singleton)
+            if op in ("direct", "lex", "corona", "rooted"):
+                assert plan.demoted == frozenset(), op  # independent by proof
             _, rep = build_labeling(product, plan)
             assert rep.passed, (op, rep.violations)
 

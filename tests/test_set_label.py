@@ -106,6 +106,11 @@ class TestLabeling:
         with pytest.raises(LabelError):
             Labeling(path_graph(3), {0: IntegerSet([1]), 1: IntegerSet([2])})
 
+    @pytest.mark.parametrize("key", [1.0, True], ids=["float", "bool"])
+    def test_rejects_key_equal_to_a_vertex_but_not_an_int(self, key):
+        with pytest.raises(LabelError, match="misses 1 of 3 vertices"):
+            Labeling(path_graph(3), {0: [1], key: [2, 3], 2: [4]})
+
     def test_edge_label_is_sumset(self):
         lab = L(path_graph(2), [1], [2, 4])
         assert lab.edge_label(0, 1).elements == (3, 5)

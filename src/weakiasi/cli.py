@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: build, label, verify, sparing, sweep. All file formats are
-JSON (see graph_core / set_label serializers); DOT is output-only.
+JSON (see graph_core / set_label serializers); DOT is output-only. JSON
+output is byte-for-byte json.dumps(payload, indent=2) plus a newline,
+written by _dumps, which is faster than the pure-Python encoder that
+json.dumps falls back to under indent.
 
 Exit codes: 0 success, 1 usage error or an output file (--out, --dot)
 that cannot be written, 2 parse error, 3 capacity error, 4 verification
@@ -14,6 +17,8 @@ import argparse
 import json
 import random
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import constructions, graph_core, sparing
 from .graph_core import Graph, GraphError
@@ -45,7 +50,7 @@ def export_dot(g, labeling=None, path=None):
             lines.append(f'  {v} [label="{v}: {label}", shape={shape}];')
         else:
             lines.append(f"  {v};")
-    for u, v in g.sorted_edges():
+    for u, v in g.edge_order:
         style = ""
         if labeling is not None and labeling[u].is_singleton() and labeling[v].is_singleton():
             style = ' [color=red, penwidth=2.0, style=bold]'
@@ -70,8 +75,52 @@ def _load_graph(path, allow_isolated=False):
     return Graph.from_json_dict(_load_json(path), allow_isolated=allow_isolated)
 
 
+def _dumps(value, indent="\n"):
+    """Exactly json.dumps(value, indent=2), for the types payloads hold:
+    str-keyed dicts, lists, tuples, str, int, bool and None.
+
+    indent is the newline and spaces that precede value's closing bracket.
+    A list of ints, or of nonempty int lists, is joined in one step, so the
+    edge lists of a large product cost no call per edge.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types == {int}:
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]"
+        if (types <= {list, tuple} and all(value)
+                and set(map(type, chain.from_iterable(value))) == {int}):
+            # One %d template per row length, filled from all the ints at once.
+            inner2 = inner + "  "
+            row_text = {k: ("," + inner2).join(["%d"] * k) for k in set(map(len, value))}
+            rows = (inner + "]," + inner + "[" + inner2).join(map(row_text.__getitem__,
+                                                                   map(len, value)))
+            return ("[" + inner + "[" + inner2 + rows % tuple(chain.from_iterable(value))
+                    + inner + "]" + indent + "]")
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -123,8 +172,8 @@ def cmd_label(args):
         labeling = _factor_labeling(g, args.labels, bound)
         if args.labels:
             constructions._require_weak(g, labeling, "--labels")
-        plan = constructions.LabelPlan(
-            frozenset(labeling.non_singleton_vertices()), "oracle-witness")
+        plan = constructions.LabelPlan(frozenset(labeling.non_singleton_vertices()),
+                                       "labels" if args.labels else "oracle-witness")
     else:
         op = constructions.PRODUCT_OPS[args.op]
         g1 = _load_graph(args.g1, args.allow_isolated)

@@ -25,6 +25,7 @@ independent plan:
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from .graph_core import (
@@ -67,7 +68,11 @@ class LabelPlan(NamedTuple):
 def _require_weak(g, labeling, who):
     report = verify_weak_iasi(g, labeling)
     if not report.passed:
-        raise PlanError(f"{who} labeling is not a weak IASI: {report.violations}")
+        # A large input can fail everywhere, so name kinds and ten vertices at most.
+        kinds = ", ".join(sorted({kind for kind, _ in report.violations}))
+        vertices = dict.fromkeys(v for _, witness in report.violations for v in witness)
+        raise PlanError(f"{who} labeling is not a weak IASI: {len(report.violations)} "
+                        f"violations ({kinds}; first vertices: {list(islice(vertices, 10))})")
     return report
 
 

@@ -1,8 +1,10 @@
 """Simple undirected graphs, the six product constructions, and helpers.
 
-Vertices are always 0..n-1. Edges are stored normalized (u < v). Graphs and
-the other records here are immutable tuples, and every operation here is a
-pure function.
+Vertices are always 0..n-1. Edges are stored normalized (u < v), twice:
+as a frozenset for membership and comparison, and as one sorted tuple made
+when the graph is built, which every ordered reader (verifier, JSON, DOT)
+walks without sorting again. Graphs and the other records here are
+immutable tuples, and every operation here is a pure function.
 
 Product vertex numbering is fixed row-major: the pair (i, j) of factor
 vertices becomes product vertex i * n2 + j. Corona and rooted products use
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 
@@ -24,10 +26,17 @@ class GraphError(ValueError):
 class _GraphFields(NamedTuple):
     n: int
     edges: frozenset
+    edge_order: tuple
 
 
 class Graph(_GraphFields):
-    """Simple finite undirected graph on vertices 0..n-1: the pair (n, edges)."""
+    """Simple finite undirected graph on vertices 0..n-1.
+
+    edges is the frozenset of normalized pairs (u, v) with u < v, and
+    edge_order the same pairs as one sorted tuple. edge_order is a function
+    of edges, so equality, hashing, copies and pickles mean what they mean
+    for the pair (n, edges).
+    """
 
     __slots__ = ()
 
@@ -35,7 +44,7 @@ class Graph(_GraphFields):
         # bool is a subclass of int, so JSON true would pass isinstance.
         if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a non-negative integer, got {n!r}")
-        norm = set()
+        norm = []
         for e in edges:
             try:
                 u, v = e
@@ -46,13 +55,13 @@ class Graph(_GraphFields):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
             if u < v:
-                norm.add((u, v))
+                norm.append((u, v))
             elif v < u:
-                norm.add((v, u))
+                norm.append((v, u))
             else:
                 raise GraphError(f"self-loop at vertex {u}")
         if not allow_isolated:
-            touched = {w for e in norm for w in e}
+            touched = set(chain.from_iterable(norm))
             if len(touched) < n:
                 # Name ten at most: a tiny input can declare a huge n.
                 first = list(islice((v for v in range(n) if v not in touched), 10))
@@ -60,18 +69,25 @@ class Graph(_GraphFields):
                     f"{n - len(touched)} of {n} vertices are isolated "
                     f"(first: {first}); pass allow_isolated=True to accept"
                 )
-        return super().__new__(cls, n, frozenset(norm))
+        edge_set = frozenset(norm)
+        if len(edge_set) < len(norm):
+            norm = list(edge_set)
+        # Timsort is linear on sorted runs: the JSON this package writes and
+        # the products below arrive as such runs.
+        norm.sort()
+        return super().__new__(cls, n, edge_set, tuple(norm))
 
     def __getnewargs__(self):
         # Copies and unpickling rebuild through __new__; keep accepted isolated vertices.
-        return self.n, self.edges, True
+        return self.n, self.edge_order, True
 
     @property
     def m(self):
         return len(self.edges)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        """A fresh list of the edges in ascending order."""
+        return list(self.edge_order)
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -94,7 +110,7 @@ class Graph(_GraphFields):
         index = {v: i for i, v in enumerate(verts)}
         edges = [
             (index[u], index[v])
-            for u, v in self.edges
+            for u, v in self.edge_order
             if u in index and v in index
         ]
         return Graph(len(verts), edges, allow_isolated=True), verts
@@ -114,7 +130,7 @@ class Graph(_GraphFields):
         return len(seen) == self.n
 
     def to_json_dict(self):
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
+        return {"n": self.n, "edges": [list(e) for e in self.edge_order]}
 
     def to_json(self):
         return json.dumps(self.to_json_dict())
@@ -241,15 +257,16 @@ def _grid_product(g1, g2, edges):
 
 def _cartesian_edges(g1, g2):
     n2 = g2.n
-    edges = [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edges]
-    edges += [(u * n2 + j, v * n2 + j) for j in range(n2) for u, v in g1.edges]
+    edges = [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edge_order]
+    edges += [(u * n2 + j, v * n2 + j) for j in range(n2) for u, v in g1.edge_order]
     return edges
 
 
 def _direct_edges(g1, g2):
     n2 = g2.n
-    edges = [(u1 * n2 + u2, v1 * n2 + v2) for u1, v1 in g1.edges for u2, v2 in g2.edges]
-    edges += [(u1 * n2 + v2, v1 * n2 + u2) for u1, v1 in g1.edges for u2, v2 in g2.edges]
+    e1, e2 = g1.edge_order, g2.edge_order
+    edges = [(u1 * n2 + u2, v1 * n2 + v2) for u1, v1 in e1 for u2, v2 in e2]
+    edges += [(u1 * n2 + v2, v1 * n2 + u2) for u1, v1 in e1 for u2, v2 in e2]
     return edges
 
 
@@ -278,8 +295,8 @@ def lexicographic_product(g1, g2):
     _require_nonempty(g1, g2)
     n2 = g2.n
     edges = [(u * n2 + j, v * n2 + k)
-             for u, v in g1.edges for j in range(n2) for k in range(n2)]
-    edges += [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edges]
+             for u, v in g1.edge_order for j in range(n2) for k in range(n2)]
+    edges += [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edge_order]
     return _grid_product(g1, g2, edges)
 
 
@@ -287,9 +304,9 @@ def corona(g1, g2):
     """Corona g1 (.) g2: one copy of g2 per g1 vertex, joined to that vertex."""
     _require_nonempty(g1, g2)
     vmap = CoronaVertexMap(g1.n, g2.n)
-    edges = list(g1.edges)
+    edges = list(g1.edge_order)
     for i in range(g1.n):
-        for u, v in g2.edges:
+        for u, v in g2.edge_order:
             edges.append((vmap.copy_vertex(i, u), vmap.copy_vertex(i, v)))
         for j in range(g2.n):
             edges.append((i, vmap.copy_vertex(i, j)))
@@ -302,9 +319,9 @@ def rooted_product(g1, g2, root):
     if not 0 <= root < g2.n:
         raise GraphError(f"root {root} is not a vertex of the rooted factor")
     vmap = RootedVertexMap(g1.n, g2.n, root)
-    edges = list(g1.edges)
+    edges = list(g1.edge_order)
     for i in range(g1.n):
-        for u, v in g2.edges:
+        for u, v in g2.edge_order:
             edges.append((vmap.copy_vertex(i, u), vmap.copy_vertex(i, v)))
     n = g1.n + g1.n * (g2.n - 1)
     return Graph(n, edges, allow_isolated=True), vmap
@@ -312,8 +329,8 @@ def rooted_product(g1, g2, root):
 
 def disjoint_union(g1, g2):
     """Disjoint union; g2's vertex ids are shifted up by g1.n."""
-    edges = list(g1.edges)
-    edges.extend((u + g1.n, v + g1.n) for u, v in g2.edges)
+    edges = list(g1.edge_order)
+    edges.extend((u + g1.n, v + g1.n) for u, v in g2.edge_order)
     return Graph(g1.n + g2.n, edges, allow_isolated=True)
 
 

@@ -156,7 +156,7 @@ def mono_indexed_stats(g, labeling):
     exactly when both endpoints carry singletons.
     """
     single = [len(labeling[v]) == 1 for v in range(g.n)]
-    mono_edges = [(u, v) for u, v in g.sorted_edges() if single[u] and single[v]]
+    mono_edges = [(u, v) for u, v in g.edge_order if single[u] and single[v]]
     return sum(single), len(mono_edges), mono_edges
 
 
@@ -186,7 +186,7 @@ def _verify(g, labeling, weak):
         raise LabelError("the labeling was made for a different graph")
     sets = list(map(labeling.labels.__getitem__, range(g.n)))
     single = [s[0] if len(s) == 1 else None for s in sets]
-    edges = g.sorted_edges()
+    edges = g.edge_order
     keys, mono_edges, edge_violations = [], [], []
     for e in edges:
         u, v = e

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakiasi.cli import (
     EXIT_CAPACITY,
@@ -12,6 +14,7 @@ from weakiasi.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _dumps,
     export_dot,
     main,
     run_sweep,
@@ -111,6 +114,12 @@ class TestSparing:
         assert payload["value"] == 3
         assert payload["method"] == "exact-oracle"
         assert payload["formula_value"] == 3  # recognized as complete
+
+    def test_out_bytes_are_json_dumps_indent_2(self, graphs, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["sparing", "--graph", graphs["c5"], "--out", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+        assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
 
     def test_capacity_exit_code(self, tmp_path):
         g = cycle_graph(12)
@@ -252,6 +261,15 @@ class TestLabel:
         assert payload["plan"]["provenance"] == "cartesian"
         assert payload["report"]["passed"]
         assert payload["report"]["mono_edge_count"] == 0  # bipartite x bipartite
+
+    def test_plan_provenance_names_its_source(self, graphs, tmp_path):
+        out, labels = tmp_path / "lab.json", tmp_path / "l.json"
+        assert main(["label", "--graph", graphs["p3"], "--out", str(out)]) == EXIT_OK
+        assert read(out)["plan"]["provenance"] == "oracle-witness"
+        labels.write_text(json.dumps({"labels": {"0": [1], "1": [2, 3], "2": [5]}}))
+        assert main(["label", "--graph", graphs["p3"], "--labels", str(labels),
+                     "--out", str(out)]) == EXIT_OK
+        assert read(out)["plan"] == {"non_singleton": [1], "provenance": "labels"}
 
     def test_label_usage_error(self, tmp_path):
         assert main(["label", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
@@ -472,6 +490,25 @@ class TestStrictInput:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("inputs", [["--graph", "path"],
+                                        ["--op", "direct", "--g1", "path", "--g2", "p2"]],
+                             ids=["graph", "op"])
+    def test_labels_that_fail_everywhere_give_a_short_parse_error(self, graphs, tmp_path,
+                                                                  inputs):
+        # One duplicate-vertex-label group of 5,000 vertices, and every edge
+        # label equal.
+        n = 5000
+        graph, labels = tmp_path / "path.json", tmp_path / "l.json"
+        graph.write_text(path_graph(n).to_json())
+        labels.write_text(json.dumps({"labels": {str(v): [5] for v in range(n)}}))
+        paths = dict(graphs, path=str(graph))
+        proc = run_module("label", *[paths.get(a, a) for a in inputs],
+                          "--labels", str(labels), "--out", str(tmp_path / "out.json"))
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
+        assert "2 violations (duplicate-edge-label, duplicate-vertex-label" in proc.stderr
+
     def test_non_utf8_graph_is_parse_error(self, tmp_path):
         p = tmp_path / "g.json"
         p.write_bytes(b"\xff\xfe" + json.dumps({"n": 2, "edges": [[0, 1]]}).encode())
@@ -621,3 +658,28 @@ class TestEveryOp:
         payload = read(out)
         assert payload["report"]["passed"]
         assert payload["plan"] == want.to_json_dict()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | st.text(),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("value", [[1, True], [], {}, [[]], [[1], [2, 3]],
+                                       ([0, 1], (2, 3)), [[1], [True]], [[], [1]],
+                                       {"\u00e9\n\"": [None, False, -7, 10 ** 40]}])
+    def test_matches_json_dumps_on_edge_cases(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, [0.0], [[1, 2.0]], {1: 2}, {"a": {3}}, b"x"])
+    def test_rejects_types_no_payload_holds(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakiasi.graph_core import (
     Graph,
@@ -62,6 +64,24 @@ class TestGraphType:
     def test_duplicate_and_reversed_edges_normalize(self):
         g = Graph(3, [(1, 0), (0, 1), (1, 2)])
         assert g.sorted_edges() == [(0, 1), (1, 2)]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_edge_order_is_sorted_and_independent_of_input_order(self, data):
+        n = data.draw(st.integers(2, 12))
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=30))
+        # Repeat some pairs, some of them reversed.
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+        pairs = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in pairs]
+        g = Graph(n, pairs, allow_isolated=True)
+        listed = g.sorted_edges()
+        assert listed == sorted(g.edges) and type(listed) is list
+        listed.clear()
+        assert g.sorted_edges() == sorted(g.edges) and g.sorted_edges() is not listed
+        h = Graph(n, data.draw(st.permutations(pairs)), allow_isolated=True)
+        assert h == g and hash(h) == hash(g) and h.edge_order == g.edge_order
 
     def test_json_round_trip_is_stable(self):
         g = Graph(4, [(3, 1), (0, 2), (1, 0)], allow_isolated=True)

@@ -3,9 +3,9 @@
 
 Each planner takes the built product and its vertex map and lifts optimal
 factor labelings to a concrete plan on it: an independent set of vertices that may carry non-singleton sets.
-assign_concrete_sets then picks actual integer sets (singletons from the
-Erdos-Turan Sidon set 2pk + (k^2 mod p), non-singletons as shifted blocks)
-so the verifier passes.
+assign_concrete_sets then picks actual integer sets (vertex v takes the
+v-th term x_v of the Erdos-Turan Sidon set 2pk + (k^2 mod p): {x_v} for a
+singleton, {x_v, x_v + 1} for a non-singleton) so the verifier passes.
 """
 
 from weakiasi import (

@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -63,11 +64,21 @@ def export_dot(g, labeling=None, path=None):
     return text
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key would silently drop a value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    # ValueError: bad JSON, bad UTF-8 or a repeated key; RecursionError: deep nesting.
+    except (OSError, ValueError, RecursionError) as exc:
         raise GraphError(f"cannot parse {path}: {exc}")
 
 

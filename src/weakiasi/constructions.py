@@ -7,19 +7,18 @@ decisions are recorded as a LabelPlan whose non-singleton set is
 independent in the product: by proof for the direct, lexicographic,
 corona and rooted patterns, and by demoting (and flagging) conflicts in the
 Cartesian and strong planners. Concrete sets are then filled in by
-assign_concrete_sets, which guarantees the injectivity conditions for any
-independent plan:
+assign_concrete_sets: vertex v takes x_v, the v-th term of the Erdos-Turan
+Sidon set 2pk + (k^2 mod p) with p the least prime >= the vertex count
+(linear time, below 2p^2; mian_chowla keeps the greedy Sidon sequence as a
+reference), as {x_v, x_v + 1} if the plan makes it non-singleton and {x_v}
+otherwise. Any independent plan then gives a weak IASI:
 
-  * singleton values form a Sidon set (all pairwise sums, doubles
-    included, are distinct), so singleton-singleton edge sums are pairwise
-    distinct. Nothing else about the values is used, so any Sidon set of
-    non-negative integers serves; the Erdos-Turan set 2pk + (k^2 mod p),
-    with p the least prime >= the singleton count, is built in linear time
-    and stays below 2p^2 (mian_chowla keeps the greedy sequence as a
-    reference);
-  * each non-singleton vertex gets a block of two consecutive integers
-    above all singleton pairwise sums, with gaps wide enough that shifted
-    blocks from different vertices can never coincide.
+  * vertex labels differ, since their least elements x_v do;
+  * every edge has a singleton end u, so it is labelled {x_u + x_v} when
+    mono and {x_u + x_w, x_u + x_w + 1} at a non-singleton w, and the weak
+    condition holds;
+  * equal edge labels have equal least elements, so equal pair sums, and
+    the Sidon property then makes the two edges one.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .graph_core import (
     rooted_product,
     strong_product,
 )
-from .set_label import IntegerSet, LabelError, Labeling, verify_weak_iasi
+from .set_label import IntegerSet, Labeling, verify_weak_iasi
 
 
 class PlanError(ValueError):
@@ -160,11 +159,7 @@ def plan_lexicographic(product, vmap, g1, g2, l2):
     Independent: hosts are, and within a host copy l2's pattern is.
     """
     _require_weak(g2, l2, "second factor")
-    adj1 = g1.adjacency()
-    hosts = set()
-    for u in range(g1.n):
-        if not (adj1[u] & hosts):
-            hosts.add(u)
+    hosts = _greedy_independent(g1, range(g1.n), "hosts").non_singleton
     non_singleton2 = l2.non_singleton_vertices()
     desired = {vmap.forward(u, j) for u in hosts for j in non_singleton2}
     return LabelPlan(frozenset(desired), "lexicographic")
@@ -296,27 +291,19 @@ def _erdos_turan(count):
 def assign_concrete_sets(g, plan):
     """Turn a plan into an actual labeling that passes verify_weak_iasi.
 
-    Singletons take the Erdos-Turan Sidon values in ascending vertex order;
-    each non-singleton vertex gets its own two-element block of consecutive
-    integers above every singleton pairwise sum, blocks spaced so that
-    singleton-shifted copies of different blocks stay disjoint.
+    Vertex v takes {x_v, x_v + 1} when the plan makes it non-singleton and
+    {x_v} otherwise, with x_v = _erdos_turan(g.n)[v]. Labels differ in x_v;
+    a mono edge uv is labelled {x_u + x_v} and an edge from a singleton u to
+    a non-singleton w {x_u + x_w, x_u + x_w + 1}, so equal edge labels force
+    equal pair sums, and the Sidon property then forces the same edge.
     """
     non_singleton = set(plan.non_singleton)
     if any(not 0 <= v < g.n for v in non_singleton):
         raise PlanError("plan names vertices outside the graph")
     if any(u in non_singleton and v in non_singleton for u, v in g.edges):
         raise PlanError("plan's non-singleton set is not independent")
-
-    singles = [v for v in range(g.n) if v not in non_singleton]
-    sidon = _erdos_turan(len(singles))
-    labels = {v: IntegerSet([x]) for v, x in zip(singles, sidon)}
-
-    max_single = sidon[-1] if singles else 0
-    base = 2 * max_single + 1  # above every singleton pairwise sum
-    stride = base + 3          # shifted blocks of distinct vertices disjoint
-    for k, v in enumerate(sorted(non_singleton)):
-        offset = base + k * stride
-        labels[v] = IntegerSet((offset, offset + 1))
+    labels = {v: IntegerSet((x, x + 1) if v in non_singleton else (x,))
+              for v, x in enumerate(_erdos_turan(g.n))}
     return Labeling(g, labels)
 
 

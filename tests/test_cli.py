@@ -529,6 +529,29 @@ class TestStrictInput:
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("sparing", "--graph", "[" * 100_000),
+        ("verify", "--labels", '{"labels": ' + "[" * 50_000 + "}"),
+    ], ids=["graph", "labels"])
+    def test_deeply_nested_json_is_a_one_line_parse_error(self, graphs, tmp_path, command,
+                                                          flag, text):
+        nested = tmp_path / "nested.json"
+        nested.write_text(text)
+        inputs = {"--graph": graphs["p3"], flag: str(nested)}
+        proc = run_module(command, *[x for pair in inputs.items() for x in pair])
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr.startswith("input error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_duplicate_json_key_is_parse_error(self, graphs, tmp_path):
+        # json.loads keeps the last "0", so vertex 0 would pass as {1}.
+        p = tmp_path / "l.json"
+        p.write_text('{"labels": {"0": [5, 6], "0": [1], "1": [2], "2": [3]}}')
+        proc = run_module("verify", "--graph", graphs["p3"], "--labels", str(p))
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr.startswith("input error: ")
+        assert "duplicate key '0'" in proc.stderr
+
 
 class TestOutputErrors:
     @pytest.mark.parametrize("flag", ["--out", "--dot"])
@@ -569,6 +592,8 @@ class TestLargeProduct:
         assert payload["report"]["passed"]
         assert len(payload["plan"]["non_singleton"]) == 1800
         assert payload["report"]["mono_edge_count"] == 0
+        # Every value is below 2p^2, with p = 3607 the least prime >= 3600.
+        assert max(x for s in payload["labeling"]["labels"].values() for x in s) < 2 * 3607 ** 2
 
     def test_verify_c100_box_c100(self, tmp_path):
         c100 = cycle_graph(100)
@@ -593,14 +618,17 @@ class TestLargeProduct:
 
 
 # SHA-256 of `label --op X` and `build --op X` output for g1 = C5, g2 = C4
-# (--root 0 for rooted), taken before the op table replaced the per-op code.
+# (--root 0 for rooted). The build pins were taken before the op table
+# replaced the per-op code; the label pins were re-taken when every vertex
+# took its own Erdos-Turan value, which changed only the "labeling" bytes
+# (GOLDEN_WITHOUT_LABELING below pins the rest).
 GOLDEN = {
-    ("label", "cartesian"): "be47b42239231b4fae577f04756d09aadd2730bb0ce6329c299355b975c282e1",
-    ("label", "direct"): "3071b1c076d0f1264217f6e27d4a7ecac2a70e82d44e7b582bee3b6f50721b8f",
-    ("label", "strong"): "6afb4e4cd720e85f09870949d2a94991127aa408906502b419136bbbba7a56e3",
-    ("label", "lex"): "062a453e5083989be115d26e212c056b07d956271d6c6db10c28d54dbc8c0e83",
-    ("label", "corona"): "f33455b4d40e2596964d88a38cfa6466a80aa09084ea2fe246c4f8ddadcf02a9",
-    ("label", "rooted"): "4e1b4812d8733a9923a7e2a18aceb2fa36b0a6d2b1311be0d53fe7382a2f06b3",
+    ("label", "cartesian"): "a10799fb27f187c3d9aa578606192a94165cdbf5e659ee268a74da74ceb51e14",
+    ("label", "direct"): "ca44bc9c78e9ef592d0df635e892b03ef1cb6576f397d28e3ffc14a095e3535d",
+    ("label", "strong"): "61d9dd3f4f9bc07d223bce555c7f90777af9b9a255e9adab9a9dcc85c9373662",
+    ("label", "lex"): "bd02e78b16bf9387f2801e59871d541c089a720448d9989578f23e19a8d58d11",
+    ("label", "corona"): "28cb73929f1b192f89b5429861b051910375e1626aa2803a42944e6867758f2a",
+    ("label", "rooted"): "24b42633e617bdc73fb5b7d1f75499634b99e5e5ca5abc56da529bae640570a0",
     ("build", "cartesian"): "86e36b9256b09cac61669d324e8225ef19e1e0d04dc782529073eed13ca2901c",
     ("build", "direct"): "fda1096d1b0e0d4d87e5f2ec04cc0238d362940de32b8718bbc5496073315d3b",
     ("build", "strong"): "01eb8f8976c99413d37ebc8ae1f737957acce568a08b329a4ba8d40ed35a0668",

@@ -12,6 +12,7 @@ from weakiasi.constructions import (
     PRODUCT_OPS,
     LabelPlan,
     PlanError,
+    _erdos_turan,
     assign_concrete_sets,
     build_labeling,
     mian_chowla,
@@ -146,7 +147,10 @@ class TestAssignConcreteSets:
         assert rep.passed
         assert lab.non_singleton_vertices() == plan
         assert rep.mono_edge_count == sum(1 for e in g.edges if not set(e) & plan)
-        assert is_sidon([lab[v].elements[0] for v in range(g.n) if v not in plan])
+        least = [lab[v].elements[0] for v in range(g.n)]
+        assert least == _erdos_turan(g.n)
+        assert all(lab[v].elements == (least[v], least[v] + 1) for v in plan)
+        assert is_sidon(least)
 
 
 class TestPlanCartesian:

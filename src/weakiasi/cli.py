@@ -69,7 +69,7 @@ def _unique_keys(pairs):
     obj = dict(pairs)
     if len(obj) != len(pairs):
         key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-        raise ValueError(f"duplicate key {key!r}")
+        raise ValueError(f"duplicate key {key[:40]!r}")
     return obj
 
 

@@ -543,14 +543,16 @@ class TestStrictInput:
         assert proc.stderr.startswith("input error: ")
         assert len(proc.stderr.splitlines()) == 1
 
-    def test_duplicate_json_key_is_parse_error(self, graphs, tmp_path):
+    @pytest.mark.parametrize("key", ["0", "x" * 100_000], ids=["vertex", "long"])
+    def test_duplicate_json_key_is_a_short_parse_error(self, graphs, tmp_path, key):
         # json.loads keeps the last "0", so vertex 0 would pass as {1}.
         p = tmp_path / "l.json"
-        p.write_text('{"labels": {"0": [5, 6], "0": [1], "1": [2], "2": [3]}}')
+        p.write_text('{"labels": {"%s": [5, 6], "%s": [1], "1": [2], "2": [3]}}' % (key, key))
         proc = run_module("verify", "--graph", graphs["p3"], "--labels", str(p))
         assert proc.returncode == EXIT_PARSE
         assert proc.stderr.startswith("input error: ")
-        assert "duplicate key '0'" in proc.stderr
+        assert f"duplicate key {key[:40]!r}" in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
 
 
 class TestOutputErrors:

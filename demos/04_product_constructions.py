@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Constructive weak IASIs on graph products.
 
-Each planner takes the built product and its vertex map and lifts optimal
-factor labelings to a concrete plan on it: an independent set of vertices that may carry non-singleton sets.
+Each planner takes the built product and its vertex map and lifts the
+patterns of optimal factor labelings (the vertices each makes
+non-singleton, which is the exact oracle's witness) to a plan on it: an
+independent set of vertices that may carry non-singleton sets.
 assign_concrete_sets then picks actual integer sets (vertex v takes the
 v-th term x_v of the Erdos-Turan Sidon set 2pk + (k^2 mod p): {x_v} for a
 singleton, {x_v, x_v + 1} for a non-singleton) so the verifier passes.
@@ -27,21 +29,22 @@ from weakiasi import (
 )
 
 g1, g2 = cycle_graph(5), path_graph(3)
-l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
+res1, res2 = sparing_exact(g1), sparing_exact(g2)
+s1, s2 = res1.witness, res2.witness
 
 cases = [
     ("cartesian", cartesian_product,
-     lambda prod, vmap: plan_cartesian(prod, vmap, g1, l1, g2)),
+     lambda prod, vmap: plan_cartesian(prod, vmap, g1, s1, g2)),
     ("direct", direct_product,
-     lambda prod, vmap: plan_direct(prod, vmap, g1, l1, g2)),
+     lambda prod, vmap: plan_direct(prod, vmap, g1, s1, g2)),
     ("strong", strong_product,
-     lambda prod, vmap: plan_strong(prod, vmap, g1, l1, g2)),
+     lambda prod, vmap: plan_strong(prod, vmap, g1, s1, g2)),
     ("lexicographic", lexicographic_product,
-     lambda prod, vmap: plan_lexicographic(prod, vmap, g1, g2, l2)),
+     lambda prod, vmap: plan_lexicographic(prod, vmap, g1, g2, s2)),
 ]
 
-print(f"factors: C5 (sparing {sparing_exact(g1).value}), "
-      f"P3 (sparing {sparing_exact(g2).value})\n")
+print(f"factors: C5 (sparing {res1.value}, pattern {s1}), "
+      f"P3 (sparing {res2.value}, pattern {s2})\n")
 
 for name, op, planner in cases:
     prod, vmap = op(g1, g2)

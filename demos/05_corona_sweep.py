@@ -9,7 +9,10 @@ both directions, while the construction cost obeys the exact identity
 
     construction mono = formula + e1 + r1*e2 - r1
 
-with e_i the mono-edge count of the factor labeling used. The largest
+with e_i the mono-edge count of the factor labeling used. A planner reads
+only each factor's pattern, the vertices its labeling makes non-singleton;
+for an optimal one that is the oracle's witness, so r_i = n_i - |witness|
+and e_i is the sparing number. The largest
 corona here, C7 (.) C7, has 56 vertices; the oracle solves each copy of g2
 apart once its hub is decided, so the whole sweep takes well under a
 second.
@@ -21,7 +24,6 @@ from weakiasi import (
     corona,
     cycle_graph,
     mono_indexed_stats,
-    optimal_labeling,
     path_graph,
     plan_corona,
     sparing_exact,
@@ -39,12 +41,13 @@ families = {
 print(f"{'pair':12s} {'formula':>7s} {'exact':>5s} {'constr':>6s}  note")
 for n1, g1 in families.items():
     for n2, g2 in families.items():
-        l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
-        r1, e1, _ = mono_indexed_stats(g1, l1)
-        r2, e2, _ = mono_indexed_stats(g2, l2)
+        res1, res2 = sparing_exact(g1), sparing_exact(g2)
+        s1, s2 = res1.witness, res2.witness
+        r1, e1 = g1.n - len(s1), res1.value
+        r2, e2 = g2.n - len(s2), res2.value
         formula = sparing_formula_corona(g1.n, len(g2.edges), r1, r2)
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(prod, vmap, g1, l1, g2, l2)
+        plan = plan_corona(prod, vmap, g1, s1, g2, s2)
         labeling, report = build_labeling(prod, plan)
         assert report.passed
         _, constr, _ = mono_indexed_stats(prod, labeling)

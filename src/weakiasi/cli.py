@@ -17,13 +17,12 @@ import argparse
 import json
 import random
 import sys
-from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from . import constructions, graph_core, sparing
-from .graph_core import Graph, GraphError
-from .set_label import LabelError, Labeling, mono_indexed_stats, verify_weak_iasi
+from .graph_core import Graph, GraphError, parse_json
+from .set_label import LabelError, Labeling, verify_weak_iasi
 from .sparing import CapacityError, SparingError
 
 EXIT_OK = 0
@@ -64,22 +63,13 @@ def export_dot(g, labeling=None, path=None):
     return text
 
 
-def _unique_keys(pairs):
-    """A JSON object as a dict; a repeated key would silently drop a value."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-        raise ValueError(f"duplicate key {key[:40]!r}")
-    return obj
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    # ValueError: bad JSON, bad UTF-8 or a repeated key; RecursionError: deep nesting.
-    except (OSError, ValueError, RecursionError) as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise GraphError(f"cannot parse {path}: {exc}")
+    return parse_json(text, GraphError, f"cannot parse {path}: ")
 
 
 def _load_graph(path, allow_isolated=False):
@@ -169,31 +159,46 @@ def cmd_build(args):
     return EXIT_OK
 
 
-def _factor_labeling(g, path, oracle_bound):
-    """Labeling from file, or an oracle-optimal one when no file is given."""
-    if path:
-        return Labeling.from_json_dict(_load_json(path), g)
-    return constructions.optimal_labeling(g, oracle_bound)
+def _require_weak(g, labeling, who):
+    """The pattern (non-singleton set) of a labeling that must be a weak IASI."""
+    report = verify_weak_iasi(g, labeling)
+    if not report.passed:
+        # A large input can fail everywhere, so name kinds and ten vertices at most.
+        kinds = ", ".join(sorted({kind for kind, _ in report.violations}))
+        vertices = dict.fromkeys(v for _, witness in report.violations for v in witness)
+        raise LabelError(f"{who} labeling is not a weak IASI: {len(report.violations)} "
+                         f"violations ({kinds}; first vertices: {list(islice(vertices, 10))})")
+    return labeling.non_singleton_vertices()
+
+
+def _factor_patterns(factors, oracle_bound):
+    """The pattern of each (graph, path, who) factor: its labeling file's,
+    or with no file the oracle's witness, independent by construction.
+    Every file is loaded and every witness found before any labeling is
+    checked, so a capacity error comes before a bad labeling."""
+    loaded = [Labeling.from_json_dict(_load_json(path), g) if path
+              else sparing.sparing_exact(g, oracle_bound).witness
+              for g, path, _ in factors]
+    return [frozenset(_require_weak(g, x, who) if path else x)
+            for (g, path, who), x in zip(factors, loaded)]
 
 
 def cmd_label(args):
     bound = args.oracle_bound
     if args.op is None:
         g = _load_graph(args.graph, args.allow_isolated)
-        labeling = _factor_labeling(g, args.labels, bound)
-        if args.labels:
-            constructions._require_weak(g, labeling, "--labels")
-        plan = constructions.LabelPlan(frozenset(labeling.non_singleton_vertices()),
-                                       "labels" if args.labels else "oracle-witness")
+        pattern, = _factor_patterns([(g, args.labels, "--labels")], bound)
+        plan = constructions.LabelPlan(pattern, "labels" if args.labels else "oracle-witness")
     else:
         op = constructions.PRODUCT_OPS[args.op]
         g1 = _load_graph(args.g1, args.allow_isolated)
         g2 = _load_graph(args.g2, args.allow_isolated)
         g, vmap = op.build(g1, g2, args.root)
-        # --labels is the first factor labeling the planner reads, --labels2 the second.
-        labelings = {i: _factor_labeling((g1, g2)[i - 1], path, bound)
-                     for i, path in zip(op.reads, (args.labels, args.labels2))}
-        plan = op.plan(g, vmap, g1, labelings.get(1), g2, labelings.get(2), args.root)
+        # --labels is the first factor the planner reads, --labels2 the second.
+        factors = [((g1, g2)[i - 1], path, ("first factor", "second factor")[i - 1])
+                   for i, path in zip(op.reads, (args.labels, args.labels2))]
+        patterns = dict(zip(op.reads, _factor_patterns(factors, bound)))
+        plan = op.plan(g, vmap, g1, patterns.get(1), g2, patterns.get(2), args.root)
     labeling, report = constructions.build_labeling(g, plan)
     payload = {
         "graph": g.to_json_dict(),
@@ -263,16 +268,18 @@ def run_sweep(oracle_bound=None, seed=0):
     """
     bound = oracle_bound if oracle_bound is not None else sparing.oracle_bound_default()
     families = sweep_families()
-    optimal = {name: constructions.optimal_labeling(g, bound) for name, g in families.items()}
+    # Each factor's pattern is the oracle's witness, an optimal weak IASI's.
+    witness = {name: frozenset(sparing.sparing_exact(g, bound).witness)
+               for name, g in families.items()}
     rows = []
     discrepancies = []
     for name1, g1 in families.items():
-        l1 = optimal[name1]
+        s1 = witness[name1]
         for name2, g2 in families.items():
-            l2 = optimal[name2]
+            s2 = witness[name2]
             for op, spec in constructions.PRODUCT_OPS.items():
                 product, vmap = spec.build(g1, g2, 0)
-                plan = spec.plan(product, vmap, g1, l1, g2, l2, 0)
+                plan = spec.plan(product, vmap, g1, s1, g2, s2, 0)
                 labeling, report = constructions.build_labeling(product, plan)
                 row = {
                     "g1": name1, "g2": name2, "op": op,
@@ -281,9 +288,9 @@ def run_sweep(oracle_bound=None, seed=0):
                     "mono_edges": report.mono_edge_count,
                 }
                 if op == "corona":
-                    r1, _, _ = mono_indexed_stats(g1, l1)
-                    r2, _, _ = mono_indexed_stats(g2, l2)
-                    formula = sparing.sparing_formula_corona(g1.n, g2.m, r1, r2)
+                    # r_i counts the singleton (mono-indexed) vertices of factor i.
+                    formula = sparing.sparing_formula_corona(g1.n, g2.m, g1.n - len(s1),
+                                                             g2.n - len(s2))
                     row["formula"] = formula
                     if product.n <= bound:
                         exact = sparing.sparing_exact(product, bound)

@@ -1,7 +1,10 @@
 """Constructive weak-IASI labelings for the six graph products.
 
 Each planner takes the product graph and vertex map its builder returned,
-then the factors it reads, and decides which product vertices get
+then each factor it reads with its pattern: the vertices a weak IASI of it
+makes non-singleton, all that the proofs read of a factor labeling. It
+checks only that each pattern is an independent set of its factor's
+vertices, as every weak IASI's is, and decides which product vertices get
 non-singleton labels, following the corresponding constructive proof; the
 decisions are recorded as a LabelPlan whose non-singleton set is
 independent in the product: by proof for the direct, lexicographic,
@@ -24,7 +27,6 @@ otherwise. Any independent plan then gives a weak IASI:
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import NamedTuple
 
 from .graph_core import (
@@ -40,7 +42,7 @@ from .set_label import IntegerSet, Labeling, verify_weak_iasi
 
 
 class PlanError(ValueError):
-    """Planner input is not a verified weak IASI, or the plan is unusable."""
+    """A pattern or plan names vertices outside its graph or is not independent."""
 
 
 class LabelPlan(NamedTuple):
@@ -64,15 +66,14 @@ class LabelPlan(NamedTuple):
         return d
 
 
-def _require_weak(g, labeling, who):
-    report = verify_weak_iasi(g, labeling)
-    if not report.passed:
-        # A large input can fail everywhere, so name kinds and ten vertices at most.
-        kinds = ", ".join(sorted({kind for kind, _ in report.violations}))
-        vertices = dict.fromkeys(v for _, witness in report.violations for v in witness)
-        raise PlanError(f"{who} labeling is not a weak IASI: {len(report.violations)} "
-                        f"violations ({kinds}; first vertices: {list(islice(vertices, 10))})")
-    return report
+def _independent(g, vertices, who):
+    """vertices as a set, once shown to be an independent set of g's vertices."""
+    vertices = set(vertices)
+    if any(not 0 <= v < g.n for v in vertices):
+        raise PlanError(f"{who} names vertices outside the graph")
+    if any(u in vertices and v in vertices for u, v in g.edges):
+        raise PlanError(f"{who}'s non-singleton set is not independent")
+    return vertices
 
 
 def _greedy_independent(g, candidates, provenance):
@@ -88,114 +89,106 @@ def _greedy_independent(g, candidates, provenance):
     return LabelPlan(frozenset(kept), provenance, frozenset(demoted))
 
 
-def plan_cartesian(product, vmap, g1, l1, g2):
+def plan_cartesian(product, vmap, g1, s1, g2):
     """Layered pattern for g1 [] g2.
 
     The product is n2 copies of g1, one per g2-vertex. Copies fall into
-    two alternating classes: one class repeats g1's singleton/non-singleton
-    pattern, the other inverts it, except that vertices matching an
-    endpoint of a mono-indexed edge of g1 stay singleton. When g2 is
-    bipartite the classes are its two sides (the even/odd alternation
-    along a path, generalized); otherwise index parity is used and the
-    unavoidable conflicts between adjacent same-class copies are demoted
-    greedily.
+    two alternating classes: one class repeats g1's pattern s1, the other
+    inverts it, except that vertices matching an endpoint of a mono edge of
+    g1 (neither end in s1) stay singleton. When g2 is bipartite the classes
+    are its two sides (the even/odd alternation along a path, generalized);
+    otherwise index parity is used and the unavoidable conflicts between
+    adjacent same-class copies are demoted greedily.
     """
-    mono_ends = {x for edge in _require_weak(g1, l1, "first factor").mono_edges
-                 for x in edge}
+    s1 = _independent(g1, s1, "first factor")
+    mono_ends = {x for e in g1.edges if e[0] not in s1 and e[1] not in s1 for x in e}
     bip = is_bipartite(g2)
     if bip.is_bipartite:
         side1 = set(bip.sides[1])
         layer_class = [1 if j in side1 else 0 for j in range(g2.n)]
     else:
         layer_class = [j % 2 for j in range(g2.n)]
-    non_singleton1 = l1.non_singleton_vertices()
     desired = set()
     for j in range(g2.n):
         for i in range(g1.n):
             if layer_class[j] == 0:
-                want = i in non_singleton1
+                want = i in s1
             else:
-                want = i not in non_singleton1 and i not in mono_ends
+                want = i not in s1 and i not in mono_ends
             if want:
                 desired.add(vmap.forward(i, j))
     return _greedy_independent(product, sorted(desired), "cartesian")
 
 
-def plan_direct(product, vmap, g1, l1, g2):
-    """Every g1-copy of the direct product repeats g1's pattern.
+def plan_direct(product, vmap, g1, s1, g2):
+    """Every g1-copy of the direct product repeats g1's pattern s1.
 
-    Independent: (i, j) ~ (i', j') needs i ~ i', and l1's pattern is.
+    Independent: (i, j) ~ (i', j') needs i ~ i', and s1 is.
     """
-    _require_weak(g1, l1, "first factor")
-    non_singleton1 = l1.non_singleton_vertices()
-    desired = {
-        vmap.forward(i, j) for i in non_singleton1 for j in range(g2.n)
-    }
+    s1 = _independent(g1, s1, "first factor")
+    desired = {vmap.forward(i, j) for i in s1 for j in range(g2.n)}
     return LabelPlan(frozenset(desired), "direct")
 
 
-def plan_strong(product, vmap, g1, l1, g2):
+def plan_strong(product, vmap, g1, s1, g2):
     """Copy-by-copy pattern for g1 [x] g2.
 
-    Copy 0 inherits g1's pattern; later copies request the same pattern and
-    keep a vertex non-singleton only while it stays independent of already
-    planned copies (strong-product edges also join diagonal neighbors, so
-    copies adjacent in g2 usually demote most requests).
+    Copy 0 inherits g1's pattern s1; later copies request the same pattern
+    and keep a vertex non-singleton only while it stays independent of
+    already planned copies (strong-product edges also join diagonal
+    neighbors, so copies adjacent in g2 usually demote most requests).
     """
-    _require_weak(g1, l1, "first factor")
-    non_singleton1 = sorted(l1.non_singleton_vertices())
+    non_singleton1 = sorted(_independent(g1, s1, "first factor"))
     # Ascending copy order, then ascending g1-vertex order within a copy.
     candidates = [vmap.forward(i, j) for j in range(g2.n) for i in non_singleton1]
     return _greedy_independent(product, candidates, "strong")
 
 
-def plan_lexicographic(product, vmap, g1, g2, l2):
-    """Host an independent family of g1-vertices with g2's pattern.
+def plan_lexicographic(product, vmap, g1, g2, s2):
+    """Host an independent family of g1-vertices with g2's pattern s2.
 
     In g1 o g2 every vertex of a copy is adjacent to all vertices of the
     copies at g1-neighbors, so only copies hosted on an independent set of
     g1 can carry non-singletons; all other copies are fully singleton.
     Hosts are chosen greedily in ascending g1-vertex order.
-    Independent: hosts are, and within a host copy l2's pattern is.
+    Independent: hosts are, and within a host copy s2 is.
     """
-    _require_weak(g2, l2, "second factor")
+    s2 = _independent(g2, s2, "second factor")
     hosts = _greedy_independent(g1, range(g1.n), "hosts").non_singleton
-    non_singleton2 = l2.non_singleton_vertices()
-    desired = {vmap.forward(u, j) for u in hosts for j in non_singleton2}
+    desired = {vmap.forward(u, j) for u in hosts for j in s2}
     return LabelPlan(frozenset(desired), "lexicographic")
 
 
-def plan_corona(product, vmap, g1, l1, g2, l2):
-    """Corona pattern: g1 keeps l1's pattern; copies attached to mono
-    g1-vertices carry l2's pattern; copies attached to non-singleton
-    g1-vertices are fully singleton (1-uniform). Independent: l1's and l2's
-    patterns are, and a patterned copy's g1-vertex is singleton."""
-    _require_weak(g1, l1, "first factor")
-    _require_weak(g2, l2, "second factor")
-    desired = set(l1.non_singleton_vertices())
-    non_singleton2 = l2.non_singleton_vertices()
+def plan_corona(product, vmap, g1, s1, g2, s2):
+    """Corona pattern: g1 keeps its pattern s1; copies attached to g1-vertices
+    outside s1 carry g2's pattern s2; copies attached to vertices in s1 are
+    fully singleton (1-uniform). Independent: s1 and s2 are, and a
+    patterned copy's g1-vertex is singleton."""
+    s1 = _independent(g1, s1, "first factor")
+    s2 = _independent(g2, s2, "second factor")
+    desired = set(s1)
     for i in range(g1.n):
-        if l1[i].is_singleton():
-            desired.update(vmap.copy_vertex(i, j) for j in non_singleton2)
+        if i not in s1:
+            desired.update(vmap.copy_vertex(i, j) for j in s2)
     return LabelPlan(frozenset(desired), "corona")
 
 
-def plan_rooted(product, vmap, g1, l1, g2, l2, root):
+def plan_rooted(product, vmap, g1, s1, g2, s2, root):
     """Rooted-product pattern.
 
-    Copy i carries l2's pattern. The merged vertex takes l1's designation,
-    except that a non-singleton l1 designation over a singleton copy root
-    falls back to the root's singleton: the merged vertex is non-singleton
-    only when both l1 and l2's root say so. Independent: merged vertices
-    follow l1 and copies l2, and a merged vertex needs both to agree.
+    Copy i carries g2's pattern s2. The merged vertex follows s1, except
+    that a merged vertex in s1 over a root outside s2 falls back to the
+    root's singleton: the merged vertex is non-singleton only when both s1
+    and s2 hold it. Independent: merged vertices follow s1 and copies s2,
+    and a merged vertex needs both to agree.
     """
-    _require_weak(g1, l1, "first factor")
-    _require_weak(g2, l2, "second factor")
-    root_non_singleton = not l2[root].is_singleton()
-    non_singleton2 = l2.non_singleton_vertices() - {root}
+    s1 = _independent(g1, s1, "first factor")
+    s2 = _independent(g2, s2, "second factor")
+    root_non_singleton = root in s2
+    non_singleton2 = s2 - {root}
     desired = set()
     for i in range(g1.n):
-        if not l1[i].is_singleton() and root_non_singleton:
+        if i in s1 and root_non_singleton:
             desired.add(vmap.merged_vertex(i))
         desired.update(vmap.copy_vertex(i, v) for v in non_singleton2)
     return LabelPlan(frozenset(desired), "rooted")
@@ -203,9 +196,9 @@ def plan_rooted(product, vmap, g1, l1, g2, l2, root):
 
 class ProductOp(NamedTuple):
     """A product's builder, build(g1, g2, root) -> (product, vmap), its
-    planner, plan(product, vmap, g1, l1, g2, l2, root) -> LabelPlan, which
-    plans on the pair build returned, and the factors (1, 2) whose
-    labelings plan reads, in the order --labels and --labels2 give them.
+    planner, plan(product, vmap, g1, s1, g2, s2, root) -> LabelPlan, which
+    plans on the pair build returned, and the factors (1, 2) whose patterns
+    plan reads, in the order --labels and --labels2 give them.
     Only a rooted op uses root; the others ignore it."""
 
     build: object
@@ -219,22 +212,22 @@ class ProductOp(NamedTuple):
 PRODUCT_OPS = {
     "cartesian": ProductOp(
         lambda g1, g2, r: cartesian_product(g1, g2),
-        lambda p, vm, g1, l1, g2, l2, r: plan_cartesian(p, vm, g1, l1, g2), (1,)),
+        lambda p, vm, g1, s1, g2, s2, r: plan_cartesian(p, vm, g1, s1, g2), (1,)),
     "direct": ProductOp(
         lambda g1, g2, r: direct_product(g1, g2),
-        lambda p, vm, g1, l1, g2, l2, r: plan_direct(p, vm, g1, l1, g2), (1,)),
+        lambda p, vm, g1, s1, g2, s2, r: plan_direct(p, vm, g1, s1, g2), (1,)),
     "strong": ProductOp(
         lambda g1, g2, r: strong_product(g1, g2),
-        lambda p, vm, g1, l1, g2, l2, r: plan_strong(p, vm, g1, l1, g2), (1,)),
+        lambda p, vm, g1, s1, g2, s2, r: plan_strong(p, vm, g1, s1, g2), (1,)),
     "lex": ProductOp(
         lambda g1, g2, r: lexicographic_product(g1, g2),
-        lambda p, vm, g1, l1, g2, l2, r: plan_lexicographic(p, vm, g1, g2, l2), (2,)),
+        lambda p, vm, g1, s1, g2, s2, r: plan_lexicographic(p, vm, g1, g2, s2), (2,)),
     "corona": ProductOp(
         lambda g1, g2, r: corona(g1, g2),
-        lambda p, vm, g1, l1, g2, l2, r: plan_corona(p, vm, g1, l1, g2, l2), (1, 2)),
+        lambda p, vm, g1, s1, g2, s2, r: plan_corona(p, vm, g1, s1, g2, s2), (1, 2)),
     "rooted": ProductOp(
         lambda g1, g2, r: rooted_product(g1, g2, r),
-        lambda p, vm, g1, l1, g2, l2, r: plan_rooted(p, vm, g1, l1, g2, l2, r), (1, 2),
+        lambda p, vm, g1, s1, g2, s2, r: plan_rooted(p, vm, g1, s1, g2, s2, r), (1, 2),
         rooted=True),
 }
 
@@ -297,11 +290,7 @@ def assign_concrete_sets(g, plan):
     a non-singleton w {x_u + x_w, x_u + x_w + 1}, so equal edge labels force
     equal pair sums, and the Sidon property then forces the same edge.
     """
-    non_singleton = set(plan.non_singleton)
-    if any(not 0 <= v < g.n for v in non_singleton):
-        raise PlanError("plan names vertices outside the graph")
-    if any(u in non_singleton and v in non_singleton for u, v in g.edges):
-        raise PlanError("plan's non-singleton set is not independent")
+    non_singleton = _independent(g, plan.non_singleton, "plan")
     labels = {v: IntegerSet((x, x + 1) if v in non_singleton else (x,))
               for v, x in enumerate(_erdos_turan(g.n))}
     return Labeling(g, labels)

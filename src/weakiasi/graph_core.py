@@ -13,14 +13,42 @@ their own vertex maps because their vertex sets are not full grids.
 
 from __future__ import annotations
 
+import gc
 import json
-from collections import deque
+from collections import Counter, deque
 from itertools import chain, islice
 from typing import NamedTuple
 
 
 class GraphError(ValueError):
     """Malformed graph input (bad endpoints, self-loops, isolated vertices)."""
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key would silently drop a value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"duplicate key {key[:40]!r}")
+    return obj
+
+
+def parse_json(text, error, context):
+    """json.loads(text), raising error(context + reason) on bad JSON, on a
+    repeated key in any object and on nesting too deep to parse.
+
+    The hook's (key, value) tuples would set off cyclic collections, though
+    parsed JSON holds no cycles, so the collector is paused for the parse.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{context}{exc}")
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class _GraphFields(NamedTuple):
@@ -147,7 +175,8 @@ class Graph(_GraphFields):
 
     @classmethod
     def from_json(cls, text, allow_isolated=False):
-        return cls.from_json_dict(json.loads(text), allow_isolated=allow_isolated)
+        return cls.from_json_dict(parse_json(text, GraphError, "bad graph JSON: "),
+                                  allow_isolated=allow_isolated)
 
 
 # ---------------------------------------------------------------------------

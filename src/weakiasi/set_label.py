@@ -14,6 +14,8 @@ import json
 from itertools import islice
 from typing import NamedTuple
 
+from .graph_core import parse_json
+
 
 class LabelError(ValueError):
     """Malformed set-label or labeling input."""
@@ -122,7 +124,7 @@ class Labeling:
 
     @classmethod
     def from_json(cls, text, graph):
-        return cls.from_json_dict(json.loads(text), graph)
+        return cls.from_json_dict(parse_json(text, LabelError, "bad labeling JSON: "), graph)
 
 
 class VerificationReport(NamedTuple):

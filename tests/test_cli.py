@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from weakiasi.cli import (
     main,
     run_sweep,
 )
+from weakiasi import constructions
 from weakiasi.constructions import (
     LabelPlan,
     assign_concrete_sets,
@@ -29,6 +31,7 @@ from weakiasi.constructions import (
 )
 from weakiasi.graph_core import (
     Graph,
+    GraphError,
     cartesian_product,
     complete_graph,
     corona,
@@ -39,6 +42,7 @@ from weakiasi.graph_core import (
 )
 from weakiasi.set_label import (
     IntegerSet,
+    LabelError,
     Labeling,
     mono_indexed_stats,
     verify_iasi,
@@ -301,6 +305,25 @@ class TestSweep:
         monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", "3")
         assert run_sweep(oracle_bound=24)["all_passed"]
 
+    def test_sweep_verifies_and_assigns_each_product_labeling_once(self, monkeypatch):
+        # 600 grid plans and 10 random witnesses are each assigned and
+        # verified once. The factor patterns are oracle witnesses, so no
+        # factor labeling is assigned or verified.
+        calls = Counter()
+
+        def count(name):
+            fn = getattr(constructions, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(constructions, name, counted)
+
+        count("verify_weak_iasi")
+        count("assign_concrete_sets")
+        run_sweep(24, 0)
+        assert calls == {"verify_weak_iasi": 610, "assign_concrete_sets": 610}
+
     def test_corona_r_counts_singleton_vertices(self):
         # r_i is the number of singleton (mono-indexed) vertices: an optimal
         # labeling of K4 has one non-singleton vertex, so r = 3, not 1.
@@ -434,6 +457,15 @@ class TestColdStart:
         assert not modules & {"dataclasses", "inspect"}
 
 
+# The library's readers, by the CLI flag whose file they parse the same way:
+# (load, error, message prefix).
+FROM_JSON = {
+    "--graph": (Graph.from_json, GraphError, "bad graph JSON: "),
+    "--labels": (lambda text: Labeling.from_json(text, path_graph(3)), LabelError,
+                 "bad labeling JSON: "),
+}
+
+
 class TestStrictInput:
     @pytest.mark.parametrize("graph", [
         {"n": "3", "edges": [[0, 1], [1, 2]]},
@@ -532,9 +564,17 @@ class TestStrictInput:
     @pytest.mark.parametrize("command, flag, text", [
         ("sparing", "--graph", "[" * 100_000),
         ("verify", "--labels", '{"labels": ' + "[" * 50_000 + "}"),
-    ], ids=["graph", "labels"])
+        ("from_json", "--graph", "[" * 100_000),
+        ("from_json", "--labels", '{"labels": ' + "[" * 50_000 + "}"),
+    ], ids=["graph", "labels", "graph-from-json", "labels-from-json"])
     def test_deeply_nested_json_is_a_one_line_parse_error(self, graphs, tmp_path, command,
                                                           flag, text):
+        if command == "from_json":  # the library's reader for that flag's file
+            load, error, prefix = FROM_JSON[flag]
+            with pytest.raises(error) as info:
+                load(text)
+            assert str(info.value).startswith(prefix) and "\n" not in str(info.value)
+            return
         nested = tmp_path / "nested.json"
         nested.write_text(text)
         inputs = {"--graph": graphs["p3"], flag: str(nested)}
@@ -543,11 +583,21 @@ class TestStrictInput:
         assert proc.stderr.startswith("input error: ")
         assert len(proc.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("key", ["0", "x" * 100_000], ids=["vertex", "long"])
-    def test_duplicate_json_key_is_a_short_parse_error(self, graphs, tmp_path, key):
+    @pytest.mark.parametrize("key, flag", [
+        ("0", None), ("x" * 100_000, None),
+        ("0", "--labels"), ("x" * 100_000, "--labels"), ("n", "--graph"),
+    ], ids=["vertex", "long", "vertex-from-json", "long-from-json", "graph-from-json"])
+    def test_duplicate_json_key_is_a_short_parse_error(self, graphs, tmp_path, key, flag):
         # json.loads keeps the last "0", so vertex 0 would pass as {1}.
+        text = '{"labels": {"%s": [5, 6], "%s": [1], "1": [2], "2": [3]}}' % (key, key)
+        if flag is not None:  # the library's reader for that flag's file
+            load, error, prefix = FROM_JSON[flag]
+            with pytest.raises(error) as info:
+                load(text)
+            assert str(info.value) == f"{prefix}duplicate key {key[:40]!r}"
+            return
         p = tmp_path / "l.json"
-        p.write_text('{"labels": {"%s": [5, 6], "%s": [1], "1": [2], "2": [3]}}' % (key, key))
+        p.write_text(text)
         proc = run_module("verify", "--graph", graphs["p3"], "--labels", str(p))
         assert proc.returncode == EXIT_PARSE
         assert proc.stderr.startswith("input error: ")
@@ -682,34 +732,78 @@ class TestEveryOp:
         lab = assign_concrete_sets(g, LabelPlan(frozenset(non_singleton), "given"))
         path = tmp_path / f"{name}.json"
         path.write_text(lab.to_json())
-        return lab, str(path)
+        return str(path)
 
     def test_lex_labels_is_the_second_factor(self, graphs, tmp_path):
         c5, c4 = cycle_graph(5), cycle_graph(4)
         # A 1-uniform labeling of C4 differs from the optimal one the
         # planner would make without --labels.
-        l2, path = self.labeling_file(tmp_path, "l2", c4, [])
+        path = self.labeling_file(tmp_path, "l2", c4, [])
         out = tmp_path / "out.json"
         assert main(["label", "--op", "lex", "--g1", graphs["c5"], "--g2", graphs["c4"],
                      "--labels", path, "--out", str(out)]) == EXIT_OK
         prod, vmap = lexicographic_product(c5, c4)
-        assert read(out)["plan"] == plan_lexicographic(prod, vmap, c5, c4, l2).to_json_dict()
+        assert read(out)["plan"] == plan_lexicographic(prod, vmap, c5, c4, set()).to_json_dict()
+
+    @pytest.mark.parametrize("op, flag, who", [
+        ("cartesian", "--labels", "first factor"), ("direct", "--labels", "first factor"),
+        ("strong", "--labels", "first factor"), ("lex", "--labels", "second factor"),
+        ("corona", "--labels", "first factor"), ("corona", "--labels2", "second factor"),
+        ("rooted", "--labels", "first factor"), ("rooted", "--labels2", "second factor"),
+    ])
+    def test_factor_labeling_that_is_not_a_weak_iasi_names_its_factor(self, graphs, tmp_path,
+                                                                      capsys, op, flag, who):
+        # Every vertex labeled {5}: each label repeats. The other factor is
+        # the oracle's witness.
+        n = 5 if who == "first factor" else 4
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"labels": {str(v): [5] for v in range(n)}}))
+        out = tmp_path / "out.json"
+        args = ["label", "--op", op, "--g1", graphs["c5"], "--g2", graphs["c4"],
+                flag, str(bad), "--out", str(out)]
+        if op == "rooted":
+            args += ["--root", "0"]
+        assert main(args) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(
+            f"input error: {who} labeling is not a weak IASI: ")
+        assert not out.exists()
+
+    def test_every_factor_is_solved_before_a_labeling_is_checked(self, graphs, tmp_path,
+                                                                 capsys):
+        # The first factor's file is not a weak IASI, but the second factor
+        # is over the oracle bound: the capacity error wins, as it always has.
+        bad, c30 = tmp_path / "bad.json", tmp_path / "c30.json"
+        bad.write_text(json.dumps({"labels": {"0": [5], "1": [5], "2": [5]}}))
+        c30.write_text(cycle_graph(30).to_json())
+        assert main(["label", "--op", "corona", "--g1", graphs["p3"], "--g2", str(c30),
+                     "--labels", str(bad), "--oracle-bound", "24"]) == EXIT_CAPACITY
+        assert capsys.readouterr().err.startswith("capacity error: ")
+
+    def test_every_factor_is_parsed_before_a_labeling_is_checked(self, graphs, tmp_path,
+                                                                 capsys):
+        bad, malformed = tmp_path / "bad.json", tmp_path / "malformed.json"
+        bad.write_text(json.dumps({"labels": {str(v): [5] for v in range(5)}}))
+        malformed.write_text('{"labels": ')
+        assert main(["label", "--op", "corona", "--g1", graphs["c5"], "--g2", graphs["c4"],
+                     "--labels", str(bad), "--labels2", str(malformed)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"input error: cannot parse {malformed}: ")
 
     @pytest.mark.parametrize("op", ["corona", "rooted"])
     def test_labels_and_labels2_are_g1_and_g2(self, graphs, tmp_path, op):
         c5, c4 = cycle_graph(5), cycle_graph(4)
-        l1, path1 = self.labeling_file(tmp_path, "l1", c5, [1, 3])
-        l2, path2 = self.labeling_file(tmp_path, "l2", c4, [0, 2])
+        s1, s2 = {1, 3}, {0, 2}
+        path1 = self.labeling_file(tmp_path, "l1", c5, s1)
+        path2 = self.labeling_file(tmp_path, "l2", c4, s2)
         out = tmp_path / "out.json"
         args = ["label", "--op", op, "--g1", graphs["c5"], "--g2", graphs["c4"],
                 "--labels", path1, "--labels2", path2, "--out", str(out)]
         if op == "rooted":
             args += ["--root", "0"]
             prod, vmap = rooted_product(c5, c4, 0)
-            want = plan_rooted(prod, vmap, c5, l1, c4, l2, 0)
+            want = plan_rooted(prod, vmap, c5, s1, c4, s2, 0)
         else:
             prod, vmap = corona(c5, c4)
-            want = plan_corona(prod, vmap, c5, l1, c4, l2)
+            want = plan_corona(prod, vmap, c5, s1, c4, s2)
         assert main(args) == EXIT_OK
         payload = read(out)
         assert payload["report"]["passed"]

@@ -39,8 +39,6 @@ from weakiasi.graph_core import (
     strong_product,
 )
 from weakiasi.set_label import (
-    IntegerSet,
-    Labeling,
     mono_indexed_stats,
     verify_weak_iasi,
 )
@@ -54,8 +52,9 @@ FAMILIES = {
 }
 
 
-def L(graph, *sets):
-    return Labeling(graph, {v: IntegerSet(s) for v, s in enumerate(sets)})
+def witness(g, bound=None):
+    """The pattern of an optimal weak IASI of g: the oracle's witness."""
+    return frozenset(sparing_exact(g, bound).witness)
 
 
 def assert_independent(g, vertices):
@@ -156,36 +155,38 @@ class TestAssignConcreteSets:
 class TestPlanCartesian:
     def test_p2_box_p2_alternates(self):
         g1 = path_graph(2)
-        l1 = L(g1, [1], [2, 3])
         prod, vmap = cartesian_product(g1, path_graph(2))
-        plan = plan_cartesian(prod, vmap, g1, l1, path_graph(2))
+        plan = plan_cartesian(prod, vmap, g1, {1}, path_graph(2))
         lab, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == 0
 
     def test_mono_edge_endpoints_stay_singleton_in_inverted_layers(self):
         g1 = complete_graph(3)
-        l1 = L(g1, [1], [2], [3, 7])  # mono edge (0,1)
         g2 = path_graph(2)
         prod, vmap = cartesian_product(g1, g2)
-        plan = plan_cartesian(prod, vmap, g1, l1, g2)
+        plan = plan_cartesian(prod, vmap, g1, {2}, g2)  # mono edge (0,1)
         # layer j=1 is inverted, but the mono-edge endpoints 0 and 1 stay singleton
         assert vmap.forward(0, 1) not in plan.non_singleton
         assert vmap.forward(1, 1) not in plan.non_singleton
         _, rep = build_labeling(prod, plan)
         assert rep.passed
 
-    def test_rejects_invalid_factor_labeling(self):
+    @pytest.mark.parametrize("pattern, message", [
+        ({0, 1}, "first factor's non-singleton set is not independent"),
+        ({2}, "first factor names vertices outside the graph"),
+    ], ids=["dependent", "outside"])
+    def test_rejects_a_pattern_no_weak_iasi_has(self, pattern, message):
         g1 = path_graph(2)
         prod, vmap = cartesian_product(g1, path_graph(2))
-        with pytest.raises(PlanError):
-            plan_cartesian(prod, vmap, g1, L(g1, [1, 2], [3, 4]), path_graph(2))
+        with pytest.raises(PlanError, match=message):
+            plan_cartesian(prod, vmap, g1, pattern, path_graph(2))
 
     def test_bipartite_factors_yield_zero_mono_edges(self):
         bipartite = [FAMILIES[k] for k in ("P2", "P3", "P4", "C4", "K2", "S3")]
         for g1, g2 in itertools.product(bipartite, repeat=2):
             prod, vmap = cartesian_product(g1, g2)
             assert is_bipartite(prod).is_bipartite
-            plan = plan_cartesian(prod, vmap, g1, optimal_labeling(g1), g2)
+            plan = plan_cartesian(prod, vmap, g1, witness(g1), g2)
             _, rep = build_labeling(prod, plan)
             assert rep.passed and rep.mono_edge_count == 0
 
@@ -194,16 +195,15 @@ class TestPlanDirect:
     def test_k2_pattern_repeats_per_copy(self):
         g1 = complete_graph(2)
         prod, vmap = direct_product(g1, complete_graph(2))
-        plan = plan_direct(prod, vmap, g1, L(g1, [1], [2, 3]), complete_graph(2))
+        plan = plan_direct(prod, vmap, g1, {1}, complete_graph(2))
         assert plan.non_singleton == {vmap.forward(1, 0), vmap.forward(1, 1)}
         _, rep = build_labeling(prod, plan)
         assert rep.passed
 
     def test_c3_times_k2(self):
         g1 = cycle_graph(3)
-        l1 = optimal_labeling(g1)
         prod, vmap = direct_product(g1, complete_graph(2))
-        plan = plan_direct(prod, vmap, g1, l1, complete_graph(2))
+        plan = plan_direct(prod, vmap, g1, witness(g1), complete_graph(2))
         assert len(plan.non_singleton) == 2
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
@@ -212,7 +212,7 @@ class TestPlanDirect:
     def test_all_singleton_factor_gives_one_uniform_plan(self):
         g1 = path_graph(3)
         prod, vmap = direct_product(g1, path_graph(2))
-        plan = plan_direct(prod, vmap, g1, L(g1, [1], [2], [4]), path_graph(2))
+        plan = plan_direct(prod, vmap, g1, set(), path_graph(2))
         assert plan.non_singleton == frozenset()
 
 
@@ -220,7 +220,7 @@ class TestPlanStrong:
     def test_k2_strong_k2_has_one_non_singleton(self):
         g1 = complete_graph(2)
         prod, vmap = strong_product(g1, complete_graph(2))
-        plan = plan_strong(prod, vmap, g1, L(g1, [1], [2, 3]), complete_graph(2))
+        plan = plan_strong(prod, vmap, g1, {1}, complete_graph(2))
         assert len(plan.non_singleton) == 1
         _, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == 3
@@ -228,7 +228,7 @@ class TestPlanStrong:
     def test_p3_strong_k2(self):
         g1 = path_graph(3)
         prod, vmap = strong_product(g1, complete_graph(2))
-        plan = plan_strong(prod, vmap, g1, optimal_labeling(g1), complete_graph(2))
+        plan = plan_strong(prod, vmap, g1, witness(g1), complete_graph(2))
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -238,7 +238,7 @@ class TestPlanLexicographic:
     def test_k2_lex_k2(self):
         g2 = complete_graph(2)
         prod, vmap = lexicographic_product(complete_graph(2), g2)
-        plan = plan_lexicographic(prod, vmap, complete_graph(2), g2, L(g2, [1], [2, 3]))
+        plan = plan_lexicographic(prod, vmap, complete_graph(2), g2, {1})
         assert len(plan.non_singleton) == 1
         _, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == sparing_exact(prod).value
@@ -246,7 +246,7 @@ class TestPlanLexicographic:
     def test_p3_hosts_are_path_ends(self):
         g1, g2 = path_graph(3), complete_graph(2)
         prod, vmap = lexicographic_product(g1, g2)
-        plan = plan_lexicographic(prod, vmap, g1, g2, L(g2, [1], [2, 3]))
+        plan = plan_lexicographic(prod, vmap, g1, g2, {1})
         copies = {vmap.inverse(v)[0] for v in plan.non_singleton}
         assert copies == {0, 2}
         _, rep = build_labeling(prod, plan)
@@ -256,12 +256,12 @@ class TestPlanLexicographic:
 class TestPlanCorona:
     def test_copies_follow_anchor_type(self):
         g1, g2 = cycle_graph(4), complete_graph(2)
-        l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
+        s1, s2 = witness(g1), witness(g2)
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(prod, vmap, g1, l1, g2, l2)
+        plan = plan_corona(prod, vmap, g1, s1, g2, s2)
         for i in range(g1.n):
             copy = set(vmap.copy_vertices(i))
-            if l1[i].is_singleton():
+            if i not in s1:
                 assert len(copy & plan.non_singleton) == 1
             else:
                 assert not (copy & plan.non_singleton)
@@ -277,7 +277,8 @@ class TestPlanCorona:
         for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
             l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
             prod, vmap = corona(g1, g2)
-            plan = plan_corona(prod, vmap, g1, l1, g2, l2)
+            plan = plan_corona(prod, vmap, g1, l1.non_singleton_vertices(), g2,
+                               l2.non_singleton_vertices())
             _, rep = build_labeling(prod, plan)
             assert rep.passed
             r1, _, e1_edges = mono_indexed_stats(g1, l1)
@@ -290,10 +291,8 @@ class TestPlanCorona:
 
     def test_one_uniform_first_factor(self):
         g1, g2 = path_graph(2), complete_graph(2)
-        l1 = L(g1, [1], [2])  # 1-uniform: r1 = n1
-        l2 = L(g2, [1], [2, 3])
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(prod, vmap, g1, l1, g2, l2)
+        plan = plan_corona(prod, vmap, g1, set(), g2, {1})  # 1-uniform g1: r1 = n1
         assert len(plan.non_singleton) == 2  # one per copy
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -302,26 +301,24 @@ class TestPlanCorona:
 class TestPlanRooted:
     def test_k2_rooted_k2(self):
         g = complete_graph(2)
-        l1, l2 = L(g, [1], [2, 3]), L(g, [1], [2, 3])
         for root in (0, 1):
             prod, vmap = rooted_product(g, g, root)
-            plan = plan_rooted(prod, vmap, g, l1, g, l2, root)
+            plan = plan_rooted(prod, vmap, g, {1}, g, {1}, root)
             lab, rep = build_labeling(prod, plan)
             assert rep.passed
 
     def test_merged_vertex_demotes_over_singleton_root(self):
         g = complete_graph(2)
-        l1, l2 = L(g, [2, 3], [1]), L(g, [1], [2, 3])
-        # l1 makes vertex 0 non-singleton, but the copy root (vertex 0 of g2)
+        # s1 makes vertex 0 non-singleton, but the copy root (vertex 0 of g2)
         # is singleton, so the merged vertex falls back to singleton.
         prod, vmap = rooted_product(g, g, 0)
-        plan = plan_rooted(prod, vmap, g, l1, g, l2, 0)
+        plan = plan_rooted(prod, vmap, g, {0}, g, {1}, 0)
         assert vmap.merged_vertex(0) not in plan.non_singleton
 
     def test_c3_rooted_p2(self):
         g1, g2 = cycle_graph(3), path_graph(2)
         prod, vmap = rooted_product(g1, g2, 0)
-        plan = plan_rooted(prod, vmap, g1, optimal_labeling(g1), g2, optimal_labeling(g2), 0)
+        plan = plan_rooted(prod, vmap, g1, witness(g1), g2, witness(g2), 0)
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -330,17 +327,17 @@ class TestPlanRooted:
 class TestFullPlannerSweep:
     def test_every_planner_on_every_ordered_pair(self):
         for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
-            l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
+            s1, s2 = witness(g1), witness(g2)
             cart, tens = cartesian_product(g1, g2), direct_product(g1, g2)
             strong, lex = strong_product(g1, g2), lexicographic_product(g1, g2)
             cor, rooted = corona(g1, g2), rooted_product(g1, g2, 0)
             plans = [
-                (cart[0], plan_cartesian(*cart, g1, l1, g2)),
-                (tens[0], plan_direct(*tens, g1, l1, g2)),
-                (strong[0], plan_strong(*strong, g1, l1, g2)),
-                (lex[0], plan_lexicographic(*lex, g1, g2, l2)),
-                (cor[0], plan_corona(*cor, g1, l1, g2, l2)),
-                (rooted[0], plan_rooted(*rooted, g1, l1, g2, l2, 0)),
+                (cart[0], plan_cartesian(*cart, g1, s1, g2)),
+                (tens[0], plan_direct(*tens, g1, s1, g2)),
+                (strong[0], plan_strong(*strong, g1, s1, g2)),
+                (lex[0], plan_lexicographic(*lex, g1, g2, s2)),
+                (cor[0], plan_corona(*cor, g1, s1, g2, s2)),
+                (rooted[0], plan_rooted(*rooted, g1, s1, g2, s2, 0)),
             ]
             for prod, plan in plans:
                 assert_independent(prod, plan.non_singleton)
@@ -349,15 +346,15 @@ class TestFullPlannerSweep:
 
 
 # SHA-256 over plan.to_json_dict() of every op on every ordered pair of the
-# sweep families (optimal factor labelings, root 0), taken while each
-# planner still built its own product.
+# sweep families (the patterns of optimal factor labelings, root 0), taken
+# while each planner still built its own product and read whole labelings.
 SWEEP_GRID_PLANS_SHA256 = "c6edf1151bc782a9c3ca01a636a1a8a545cc972ffe0e234aaa762559aaa3e462"
 
 
 class TestPlanPin:
     def test_sweep_grid_plans_are_pinned(self):
         families = sweep_families()
-        optimal = {name: optimal_labeling(g, 24) for name, g in families.items()}
+        optimal = {name: witness(g, 24) for name, g in families.items()}
         plans = []
         for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
             for op, spec in PRODUCT_OPS.items():
@@ -375,13 +372,11 @@ class TestEveryOpOnRandomFactors:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(factors, factors, st.randoms(use_true_random=False))
     def test_plans_are_independent_and_verify(self, g1, g2, rng):
-        l1, l2 = (assign_concrete_sets(g, LabelPlan(frozenset(random_independent_set(g, rng)),
-                                                    "random"))
-                  for g in (g1, g2))
+        s1, s2 = (random_independent_set(g, rng) for g in (g1, g2))
         root = rng.randrange(g2.n)
         for op, spec in PRODUCT_OPS.items():
             product, vmap = spec.build(g1, g2, root)
-            plan = spec.plan(product, vmap, g1, l1, g2, l2, root)
+            plan = spec.plan(product, vmap, g1, s1, g2, s2, root)
             assert_independent(product, plan.non_singleton)
             if op in ("direct", "lex", "corona", "rooted"):
                 assert plan.demoted == frozenset(), op  # independent by proof

@@ -18,3 +18,13 @@ def test_demo_runs(demo):
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_tour_runs():
+    """The python block under README's "Library tour" runs as written."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        tour = fh.read().split("## Library tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].passed

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -89,6 +90,23 @@ class TestGraphType:
         again = Graph.from_json(text, allow_isolated=True)
         assert again == g
         assert again.to_json() == text
+
+    @pytest.mark.parametrize("text", ['{"n": 2, "edges": [[0, 1]]}', '{"n": 2, "n": 2}'],
+                             ids=["good", "repeated-key"])
+    def test_json_parse_leaves_the_collector_as_it_found_it(self, text):
+        # The parse pauses the cyclic collector; it must not switch it on
+        # for a caller that had it off, nor leave it off after an error.
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    Graph.from_json(text)
+                except GraphError:
+                    pass
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestCartesian:

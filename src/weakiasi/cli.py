@@ -50,7 +50,7 @@ def export_dot(g, labeling=None, path=None):
             lines.append(f'  {v} [label="{v}: {label}", shape={shape}];')
         else:
             lines.append(f"  {v};")
-    for u, v in g.edge_order:
+    for u, v in g.edges:
         style = ""
         if labeling is not None and labeling[u].is_singleton() and labeling[v].is_singleton():
             style = ' [color=red, penwidth=2.0, style=bold]'
@@ -369,12 +369,9 @@ def build_parser():
                     "and exact sparing numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, labels=False, dot=False, oracle_bound=True,
-               isolated=True):
+    def common(p, graph=False, dot=False, oracle_bound=True, isolated=True):
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
-        if labels:
-            p.add_argument("--labels", default=None, help="labeling JSON file")
         p.add_argument("--out", default=None, help="output JSON path (default stdout)")
         if dot:
             p.add_argument("--dot", default=None, help="also write a DOT file here")
@@ -398,14 +395,16 @@ def build_parser():
     factors(p_build, [*constructions.PRODUCT_OPS, "union"], required=True)
 
     p_label = sub.add_parser("label", help="plan and assign a weak IASI")
-    common(p_label, labels=True, dot=True)
+    common(p_label, dot=True)
+    p_label.add_argument("--labels", default=None, help="labeling JSON file")
     p_label.add_argument("--graph", default=None, help="graph JSON (no product)")
     factors(p_label, list(constructions.PRODUCT_OPS), required=False)
     p_label.add_argument("--labels2", default=None,
                          help="second factor labeling (ops that read both)")
 
     p_verify = sub.add_parser("verify", help="verify a labeling")
-    common(p_verify, graph=True, labels=True, dot=True)
+    common(p_verify, graph=True, dot=True)
+    p_verify.add_argument("--labels", required=True, help="labeling JSON file")
 
     p_sparing = sub.add_parser("sparing", help="exact sparing number")
     common(p_sparing, graph=True)

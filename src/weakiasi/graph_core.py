@@ -1,10 +1,10 @@
 """Simple undirected graphs, the six product constructions, and helpers.
 
-Vertices are always 0..n-1. Edges are stored normalized (u < v), twice:
-as a frozenset for membership and comparison, and as one sorted tuple made
-when the graph is built, which every ordered reader (verifier, JSON, DOT)
-walks without sorting again. Graphs and the other records here are
-immutable tuples, and every operation here is a pure function.
+Vertices are always 0..n-1. Edges are stored once, normalized (u < v),
+deduplicated and sorted in one tuple made when the graph is built: every
+reader (products, verifier, JSON, DOT) walks it without sorting again, and
+membership bisects it. Graphs and the other records here are immutable
+tuples, and every operation here is a pure function.
 
 Product vertex numbering is fixed row-major: the pair (i, j) of factor
 vertices becomes product vertex i * n2 + j. Corona and rooted products use
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_left
 from collections import Counter, deque
 from itertools import chain, islice
+from operator import eq
 from typing import NamedTuple
 
 
@@ -53,17 +55,15 @@ def parse_json(text, error, context):
 
 class _GraphFields(NamedTuple):
     n: int
-    edges: frozenset
-    edge_order: tuple
+    edges: tuple
 
 
 class Graph(_GraphFields):
     """Simple finite undirected graph on vertices 0..n-1.
 
-    edges is the frozenset of normalized pairs (u, v) with u < v, and
-    edge_order the same pairs as one sorted tuple. edge_order is a function
-    of edges, so equality, hashing, copies and pickles mean what they mean
-    for the pair (n, edges).
+    edges is the one stored form of the edge set: its normalized pairs
+    (u, v), u < v, once each in a sorted tuple. So graphs with one edge set
+    are equal and hash equal, whatever order or repeats their input had.
     """
 
     __slots__ = ()
@@ -97,17 +97,16 @@ class Graph(_GraphFields):
                     f"{n - len(touched)} of {n} vertices are isolated "
                     f"(first: {first}); pass allow_isolated=True to accept"
                 )
-        edge_set = frozenset(norm)
-        if len(edge_set) < len(norm):
-            norm = list(edge_set)
-        # Timsort is linear on sorted runs: the JSON this package writes and
-        # the products below arrive as such runs.
+        # Timsort is linear on the sorted runs that products and this
+        # package's JSON arrive as. Sorted, a repeat sits next to its twin.
         norm.sort()
-        return super().__new__(cls, n, edge_set, tuple(norm))
+        if any(map(eq, norm, islice(norm, 1, None))):
+            norm = sorted(set(norm))
+        return super().__new__(cls, n, tuple(norm))
 
     def __getnewargs__(self):
         # Copies and unpickling rebuild through __new__; keep accepted isolated vertices.
-        return self.n, self.edge_order, True
+        return self.n, self.edges, True
 
     @property
     def m(self):
@@ -115,10 +114,12 @@ class Graph(_GraphFields):
 
     def sorted_edges(self):
         """A fresh list of the edges in ascending order."""
-        return list(self.edge_order)
+        return list(self.edges)
 
     def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self.edges
+        e = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
     def adjacency(self):
         """Neighbor sets for all vertices, computed in one pass."""
@@ -138,7 +139,7 @@ class Graph(_GraphFields):
         index = {v: i for i, v in enumerate(verts)}
         edges = [
             (index[u], index[v])
-            for u, v in self.edge_order
+            for u, v in self.edges
             if u in index and v in index
         ]
         return Graph(len(verts), edges, allow_isolated=True), verts
@@ -158,7 +159,7 @@ class Graph(_GraphFields):
         return len(seen) == self.n
 
     def to_json_dict(self):
-        return {"n": self.n, "edges": [list(e) for e in self.edge_order]}
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     def to_json(self):
         return json.dumps(self.to_json_dict())
@@ -286,14 +287,14 @@ def _grid_product(g1, g2, edges):
 
 def _cartesian_edges(g1, g2):
     n2 = g2.n
-    edges = [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edge_order]
-    edges += [(u * n2 + j, v * n2 + j) for j in range(n2) for u, v in g1.edge_order]
+    edges = [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edges]
+    edges += [(u * n2 + j, v * n2 + j) for j in range(n2) for u, v in g1.edges]
     return edges
 
 
 def _direct_edges(g1, g2):
     n2 = g2.n
-    e1, e2 = g1.edge_order, g2.edge_order
+    e1, e2 = g1.edges, g2.edges
     edges = [(u1 * n2 + u2, v1 * n2 + v2) for u1, v1 in e1 for u2, v2 in e2]
     edges += [(u1 * n2 + v2, v1 * n2 + u2) for u1, v1 in e1 for u2, v2 in e2]
     return edges
@@ -324,8 +325,8 @@ def lexicographic_product(g1, g2):
     _require_nonempty(g1, g2)
     n2 = g2.n
     edges = [(u * n2 + j, v * n2 + k)
-             for u, v in g1.edge_order for j in range(n2) for k in range(n2)]
-    edges += [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edge_order]
+             for u, v in g1.edges for j in range(n2) for k in range(n2)]
+    edges += [(i * n2 + u, i * n2 + v) for i in range(g1.n) for u, v in g2.edges]
     return _grid_product(g1, g2, edges)
 
 
@@ -333,9 +334,9 @@ def corona(g1, g2):
     """Corona g1 (.) g2: one copy of g2 per g1 vertex, joined to that vertex."""
     _require_nonempty(g1, g2)
     vmap = CoronaVertexMap(g1.n, g2.n)
-    edges = list(g1.edge_order)
+    edges = list(g1.edges)
     for i in range(g1.n):
-        for u, v in g2.edge_order:
+        for u, v in g2.edges:
             edges.append((vmap.copy_vertex(i, u), vmap.copy_vertex(i, v)))
         for j in range(g2.n):
             edges.append((i, vmap.copy_vertex(i, j)))
@@ -348,9 +349,9 @@ def rooted_product(g1, g2, root):
     if not 0 <= root < g2.n:
         raise GraphError(f"root {root} is not a vertex of the rooted factor")
     vmap = RootedVertexMap(g1.n, g2.n, root)
-    edges = list(g1.edge_order)
+    edges = list(g1.edges)
     for i in range(g1.n):
-        for u, v in g2.edge_order:
+        for u, v in g2.edges:
             edges.append((vmap.copy_vertex(i, u), vmap.copy_vertex(i, v)))
     n = g1.n + g1.n * (g2.n - 1)
     return Graph(n, edges, allow_isolated=True), vmap
@@ -358,8 +359,8 @@ def rooted_product(g1, g2, root):
 
 def disjoint_union(g1, g2):
     """Disjoint union; g2's vertex ids are shifted up by g1.n."""
-    edges = list(g1.edge_order)
-    edges.extend((u + g1.n, v + g1.n) for u, v in g2.edge_order)
+    edges = list(g1.edges)
+    edges.extend((u + g1.n, v + g1.n) for u, v in g2.edges)
     return Graph(g1.n + g2.n, edges, allow_isolated=True)
 
 
@@ -427,7 +428,7 @@ def _odd_cycle(parent, u, v):
         pu.append(parent[pu[-1]])
     while parent[pv[-1]] != -1:
         pv.append(parent[pv[-1]])
-    su, sv = set(pu), set(pv)
+    sv = set(pv)
     meet = next(x for x in pu if x in sv)
     cu = pu[: pu.index(meet) + 1]
     cv = pv[: pv.index(meet)]

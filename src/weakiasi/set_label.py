@@ -158,7 +158,7 @@ def mono_indexed_stats(g, labeling):
     exactly when both endpoints carry singletons.
     """
     single = [len(labeling[v]) == 1 for v in range(g.n)]
-    mono_edges = [(u, v) for u, v in g.edge_order if single[u] and single[v]]
+    mono_edges = [(u, v) for u, v in g.edges if single[u] and single[v]]
     return sum(single), len(mono_edges), mono_edges
 
 
@@ -183,14 +183,13 @@ def _verify(g, labeling, weak):
     only kind that can fail the weak condition (reported when weak is true).
     Non-mono keys have two or more elements, so no int equals one.
     """
-    if g.n != labeling.graph.n or (labeling.graph is not g
-                                   and not g.edges <= labeling.graph.edges):
+    if g.n != labeling.graph.n or (labeling.graph != g
+                                   and not set(g.edges) <= set(labeling.graph.edges)):
         raise LabelError("the labeling was made for a different graph")
     sets = list(map(labeling.labels.__getitem__, range(g.n)))
     single = [s[0] if len(s) == 1 else None for s in sets]
-    edges = g.edge_order
     keys, mono_edges, edge_violations = [], [], []
-    for e in edges:
+    for e in g.edges:
         u, v = e
         x, y = single[u], single[v]
         if x is None and y is None:
@@ -210,7 +209,7 @@ def _verify(g, labeling, weak):
     violations = [("duplicate-vertex-label", tuple(vs))
                   for vs in _collisions(range(g.n), sets)]
     violations += [("duplicate-edge-label", tuple(x for e in es for x in e))
-                   for es in _collisions(edges, keys)]
+                   for es in _collisions(g.edges, keys)]
     if weak:
         violations += edge_violations
     return VerificationReport(not violations, tuple(violations),

@@ -418,6 +418,9 @@ class TestUnusedFlags:
                           "--g2", graphs["c4"], "--oracle-bound", "5")
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
+        proc = run_module("verify", "--graph", graphs["c4"])
+        assert proc.returncode == EXIT_USAGE
+        assert "--labels" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_sweep_seed_0_output_is_pinned(self, tmp_path):
         pins = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected.json")

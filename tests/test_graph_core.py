@@ -2,8 +2,9 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_sparing import graphs
 
 from weakiasi.graph_core import (
     Graph,
@@ -47,6 +48,17 @@ def is_isomorphic(g, h):
     return False
 
 
+@st.composite
+def sparse_graphs(draw):
+    """G(n, p) on up to 30 vertices, sparse enough that some shortest odd
+    cycles are longer than triangles."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.sampled_from([0.05, 0.08, 0.12]))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p],
+                 allow_isolated=True)
+
+
 class TestGraphType:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -68,7 +80,7 @@ class TestGraphType:
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.data())
-    def test_edge_order_is_sorted_and_independent_of_input_order(self, data):
+    def test_edges_are_sorted_and_independent_of_input_order(self, data):
         n = data.draw(st.integers(2, 12))
         vertex = st.integers(0, n - 1)
         pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
@@ -82,7 +94,10 @@ class TestGraphType:
         listed.clear()
         assert g.sorted_edges() == sorted(g.edges) and g.sorted_edges() is not listed
         h = Graph(n, data.draw(st.permutations(pairs)), allow_isolated=True)
-        assert h == g and hash(h) == hash(g) and h.edge_order == g.edge_order
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+        drawn = {(min(e), max(e)) for e in pairs}
+        for u, v in itertools.product(range(n), repeat=2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in drawn)
 
     def test_json_round_trip_is_stable(self):
         g = Graph(4, [(3, 1), (0, 2), (1, 0)], allow_isolated=True)
@@ -172,8 +187,8 @@ class TestStrong:
             s, _ = strong_product(g1, g2)
             c, _ = cartesian_product(g1, g2)
             d, _ = direct_product(g1, g2)
-            assert s.edges == c.edges | d.edges
-            assert not (c.edges & d.edges)
+            # s has no repeated edge, so this also says c and d share none.
+            assert s.edges == tuple(sorted(c.edges + d.edges))
             assert s.m == c.m + d.m
 
 
@@ -290,13 +305,24 @@ class TestBipartite:
         assert res.is_bipartite
         assert sorted(map(len, res.sides)) == [2, 2]
 
-    def test_odd_cycle_certificate(self):
-        res = is_bipartite(C5)
-        assert not res.is_bipartite
-        cyc = res.odd_cycle
-        assert len(cyc) % 2 == 1
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            assert C5.has_edge(a, b)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(graphs(), sparse_graphs()))
+    @example(C5)
+    def test_odd_cycle_certificate(self, g):
+        res = is_bipartite(g)
+        assert not (g == C5 and res.is_bipartite)
+        if res.is_bipartite:
+            assert res.odd_cycle is None
+            assert sorted(res.sides[0] + res.sides[1]) == list(range(g.n))
+            for side in res.sides:
+                assert not any(g.has_edge(u, v)
+                               for u, v in itertools.combinations(side, 2))
+        else:
+            cyc = res.odd_cycle
+            assert res.sides is None
+            assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                assert g.has_edge(a, b)
 
     def test_product_of_bipartite_is_bipartite(self):
         prod, _ = cartesian_product(K2, C4)

@@ -255,12 +255,18 @@ class TestVerifierAgainstReference:
 
     def test_labeling_of_a_supergraph_is_accepted(self):
         sup = cycle_graph(5)
-        lab = L(sup, [1], [2, 3], [5], [7, 8], [11])
+        sets = [1], [2, 3], [5], [7, 8], [11]
+        lab = L(sup, *sets)
         g = path_graph(5)
-        assert lab.graph is not g and g.edges < sup.edges
+        assert lab.graph is not g and set(g.edges) < set(sup.edges)
+        # A labeling of an equal graph built apart verifies as one of g.
+        twin = Graph(g.n, reversed(g.edges))
+        assert twin == g and twin is not g
+        own, twins = L(g, *sets), L(twin, *sets)
         for verify, weak in ((verify_weak_iasi, True), (verify_iasi, False)):
             assert verify(g, lab) == reference_report(g, lab, weak)
             assert verify(g, lab) != verify(sup, lab)
+            assert verify(g, twins) == verify(g, own) == reference_report(g, own, weak)
 
     @pytest.mark.parametrize("labeled", [Graph(3, [(0, 1)], allow_isolated=True),
                                          path_graph(4)],

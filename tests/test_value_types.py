@@ -34,9 +34,9 @@ RECORDS = {
     # Vertex 3 is isolated, so copies must keep accepting it.
     "Graph": (lambda: Graph(4, [(0, 1), (2, 1)], allow_isolated=True),
               Graph(3, [(0, 1)], allow_isolated=True), "n"),
-    # Reversed, repeated and unsorted pairs: edge_order is made at build time.
+    # Reversed, repeated and unsorted pairs: edges are sorted at build time.
     "Graph-unsorted": (lambda: Graph(5, [(4, 3), (2, 1), (0, 4), (1, 0), (3, 4)]),
-                       Graph(5, [(0, 1), (1, 2), (3, 4)]), "edge_order"),
+                       Graph(5, [(0, 1), (1, 2), (3, 4)]), "edges"),
     "ProductVertexMap": (lambda: ProductVertexMap(2, 3), ProductVertexMap(3, 2), "n1"),
     "CoronaVertexMap": (lambda: CoronaVertexMap(2, 3), CoronaVertexMap(3, 2), "p1"),
     "RootedVertexMap": (lambda: RootedVertexMap(2, 3, 0), RootedVertexMap(2, 3, 1), "root"),

@@ -129,18 +129,6 @@ def _write_json(path, payload):
         sys.stdout.write(text)
 
 
-def _vmap_json(vmap):
-    if isinstance(vmap, graph_core.ProductVertexMap):
-        return {"kind": "grid", "n1": vmap.n1, "n2": vmap.n2,
-                "order": "row-major (i, j) -> i * n2 + j"}
-    if isinstance(vmap, graph_core.CoronaVertexMap):
-        return {"kind": "corona", "p1": vmap.p1, "p2": vmap.p2,
-                "copies": {str(i): vmap.copy_vertices(i) for i in range(vmap.p1)}}
-    return {"kind": "rooted", "n1": vmap.n1, "n2": vmap.n2, "root": vmap.root,
-            "copies": {str(i): [vmap.copy_vertex(i, v) for v in range(vmap.n2)]
-                       for i in range(vmap.n1)}}
-
-
 def cmd_build(args):
     g1 = _load_graph(args.g1, args.allow_isolated)
     g2 = _load_graph(args.g2, args.allow_isolated)
@@ -149,7 +137,7 @@ def cmd_build(args):
         vmap_payload = {"kind": "union", "shift": g1.n}
     else:
         g, vmap = constructions.PRODUCT_OPS[args.op].build(g1, g2, args.root)
-        vmap_payload = _vmap_json(vmap)
+        vmap_payload = vmap.to_json_dict()
     payload = dict(g.to_json_dict())
     payload["vertex_map"] = vmap_payload
     payload["connected"] = g.is_connected()
@@ -259,17 +247,16 @@ def sweep_families():
     }
 
 
-def run_sweep(oracle_bound=None, seed=0):
+def run_sweep(oracle_bound=sparing.DEFAULT_ORACLE_BOUND, seed=0):
     """Planner validity sweep over all ordered family pairs and products,
     plus the corona formula-vs-oracle comparison.
 
     Returns a dict with per-case rows and a list of corona discrepancies
     (cases where the exact oracle beats the construction-cost formula).
     """
-    bound = oracle_bound if oracle_bound is not None else sparing.oracle_bound_default()
     families = sweep_families()
     # Each factor's pattern is the oracle's witness, an optimal weak IASI's.
-    witness = {name: frozenset(sparing.sparing_exact(g, bound).witness)
+    witness = {name: frozenset(sparing.sparing_exact(g, oracle_bound).witness)
                for name, g in families.items()}
     rows = []
     discrepancies = []
@@ -292,8 +279,8 @@ def run_sweep(oracle_bound=None, seed=0):
                     formula = sparing.sparing_formula_corona(g1.n, g2.m, g1.n - len(s1),
                                                              g2.n - len(s2))
                     row["formula"] = formula
-                    if product.n <= bound:
-                        exact = sparing.sparing_exact(product, bound)
+                    if product.n <= oracle_bound:
+                        exact = sparing.sparing_exact(product, oracle_bound)
                         row["exact"] = exact.value
                         if exact.value != formula:
                             discrepancies.append({
@@ -312,7 +299,7 @@ def run_sweep(oracle_bound=None, seed=0):
     random_rows = []
     for _ in range(10):
         g = _random_graph(rng, n=rng.randint(4, 10))
-        result = sparing.sparing_exact(g, bound)
+        result = sparing.sparing_exact(g, oracle_bound)
         plan = constructions.LabelPlan(frozenset(result.witness), "oracle-witness")
         labeling, report = constructions.build_labeling(g, plan)
         random_rows.append({
@@ -376,9 +363,8 @@ def build_parser():
         if dot:
             p.add_argument("--dot", default=None, help="also write a DOT file here")
         if oracle_bound:
-            p.add_argument("--oracle-bound", type=int, default=None,
-                           help="max vertices for the exact oracle (default: "
-                                f"${sparing.ORACLE_BOUND_ENV} or {sparing.DEFAULT_ORACLE_BOUND})")
+            p.add_argument("--oracle-bound", type=int, default=sparing.DEFAULT_ORACLE_BOUND,
+                           help="max vertices for the exact oracle (default: %(default)s)")
         if isolated:
             p.add_argument("--allow-isolated", action="store_true",
                            help="accept graphs with isolated vertices")
@@ -428,7 +414,7 @@ _HANDLERS = {
 def _check_args(args):
     """Usage errors argparse cannot express; the --root and --labels2 rules
     come from constructions.PRODUCT_OPS."""
-    if getattr(args, "oracle_bound", None) is not None and args.oracle_bound < 0:
+    if getattr(args, "oracle_bound", 0) < 0:
         raise UsageError("--oracle-bound must be a non-negative integer")
     if args.command not in ("build", "label"):
         return

@@ -39,6 +39,7 @@ from .graph_core import (
     strong_product,
 )
 from .set_label import IntegerSet, Labeling, verify_weak_iasi
+from .sparing import DEFAULT_ORACLE_BOUND, sparing_exact
 
 
 class PlanError(ValueError):
@@ -302,15 +303,13 @@ def build_labeling(g, plan):
     return labeling, verify_weak_iasi(g, labeling)
 
 
-def optimal_labeling(g, oracle_bound=None):
+def optimal_labeling(g, oracle_bound=DEFAULT_ORACLE_BOUND):
     """Weak IASI realizing the exact sparing number.
 
     Runs the exact oracle, turns its witness into a plan, and assigns
     concrete sets; the resulting labeling has exactly sparing(g) mono
     edges.
     """
-    from .sparing import sparing_exact
-
     result = sparing_exact(g, oracle_bound)
     plan = LabelPlan(frozenset(result.witness), "oracle-witness")
     return assign_concrete_sets(g, plan)

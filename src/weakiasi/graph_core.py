@@ -108,6 +108,11 @@ class Graph(_GraphFields):
         # Copies and unpickling rebuild through __new__; keep accepted isolated vertices.
         return self.n, self.edges, True
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here too, so both validate and normalize.
+        return cls(*iterable, allow_isolated=True)
+
     @property
     def m(self):
         return len(self.edges)
@@ -136,6 +141,8 @@ class Graph(_GraphFields):
         sorted order of `vertices`.
         """
         verts = sorted(set(vertices))
+        if verts and not (0 <= verts[0] and verts[-1] < self.n):
+            raise GraphError(f"induced vertices {verts[0]}..{verts[-1]} leave 0..{self.n - 1}")
         index = {v: i for i, v in enumerate(verts)}
         edges = [
             (index[u], index[v])
@@ -229,6 +236,10 @@ class ProductVertexMap(NamedTuple):
             raise GraphError(f"product vertex {pid} out of range")
         return divmod(pid, self.n2)
 
+    def to_json_dict(self):
+        return {"kind": "grid", "n1": self.n1, "n2": self.n2,
+                "order": "row-major (i, j) -> i * n2 + j"}
+
 
 class CoronaVertexMap(NamedTuple):
     """Vertex layout of a corona: g1 keeps ids 0..p1-1, copy i of g2 follows."""
@@ -244,6 +255,10 @@ class CoronaVertexMap(NamedTuple):
 
     def copy_vertices(self, i):
         return [self.copy_vertex(i, j) for j in range(self.p2)]
+
+    def to_json_dict(self):
+        return {"kind": "corona", "p1": self.p1, "p2": self.p2,
+                "copies": {str(i): self.copy_vertices(i) for i in range(self.p1)}}
 
 
 class RootedVertexMap(NamedTuple):
@@ -271,6 +286,11 @@ class RootedVertexMap(NamedTuple):
             return i
         offset = v if v < self.root else v - 1
         return self.n1 + i * (self.n2 - 1) + offset
+
+    def to_json_dict(self):
+        return {"kind": "rooted", "n1": self.n1, "n2": self.n2, "root": self.root,
+                "copies": {str(i): [self.copy_vertex(i, v) for v in range(self.n2)]
+                           for i in range(self.n1)}}
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,15 @@ factor falls away once its hub is decided. Parts are independent
 subproblems, so at every node that survives the bound the oracle solves
 each part but the largest exactly, remembers the answer per part, and
 branches on the largest part alone, keeping the incumbent for the global
-bound. A configurable vertex cap keeps the search at desk scale.
+bound. A vertex cap, oracle_bound, keeps the search at desk scale: the
+caller passes it per call, and it is DEFAULT_ORACLE_BOUND otherwise.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 DEFAULT_ORACLE_BOUND = 24
-ORACLE_BOUND_ENV = "WEAKIASI_ORACLE_BOUND"
 
 
 class CapacityError(RuntimeError):
@@ -39,8 +38,7 @@ class CapacityError(RuntimeError):
 
 
 class SparingError(ValueError):
-    """Invalid argument to a closed-form sparing formula, or an invalid
-    oracle bound in the environment."""
+    """Invalid argument to a closed-form sparing formula."""
 
 
 class SparingResult(NamedTuple):
@@ -70,21 +68,6 @@ class SparingResult(NamedTuple):
         if formula_value is not None:
             d["formula_value"] = formula_value
         return d
-
-
-def oracle_bound_default():
-    """The vertex cap from the environment, or DEFAULT_ORACLE_BOUND if unset."""
-    env = os.environ.get(ORACLE_BOUND_ENV)
-    if not env:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        bound = int(env)
-    except ValueError:
-        bound = -1
-    if bound < 0:
-        raise SparingError(
-            f"{ORACLE_BOUND_ENV} must be a non-negative integer, got {env!r}")
-    return bound
 
 
 def _adj_masks(g):
@@ -229,8 +212,10 @@ def _exact_search(g):
     return best_cov, tuple(witness), nodes
 
 
-def sparing_exact(g, oracle_bound=None):
+def sparing_exact(g, oracle_bound=DEFAULT_ORACLE_BOUND):
     """Exact sparing number with a lexicographically smallest witness.
+
+    Raises CapacityError when g has more than oracle_bound vertices.
 
     The search branches on the eligible vertex of highest degree (lowest
     index on ties): take it, or leave it out. At each node that survives
@@ -254,11 +239,10 @@ def sparing_exact(g, oracle_bound=None):
     maximum search, of every reachability run, and of every exact solve
     of a peeled part. A memo hit costs no node.
     """
-    bound = oracle_bound if oracle_bound is not None else oracle_bound_default()
-    if g.n > bound:
+    if g.n > oracle_bound:
         raise CapacityError(
-            f"graph has {g.n} vertices, exact oracle bound is {bound}; "
-            f"raise it with --oracle-bound or {ORACLE_BOUND_ENV}")
+            f"graph has {g.n} vertices, exact oracle bound is {oracle_bound}; "
+            "raise it with --oracle-bound")
     best_cov, witness, nodes = _exact_search(g)
     return SparingResult(value=g.m - best_cov, witness=witness,
                          method="exact-oracle", nodes=nodes)
@@ -328,7 +312,7 @@ def cycle_parity_of(n, s):
     return n - 2 * s
 
 
-def sparing_union(g1, g2, oracle_bound=None):
+def sparing_union(g1, g2, oracle_bound=DEFAULT_ORACLE_BOUND):
     """Sparing number of a disjoint union; additive over components."""
     r1 = sparing_exact(g1, oracle_bound)
     r2 = sparing_exact(g2, oracle_bound)
@@ -347,5 +331,4 @@ __all__ = [
     "cycle_parity_of",
     "sparing_union",
     "DEFAULT_ORACLE_BOUND",
-    "ORACLE_BOUND_ENV",
 ]

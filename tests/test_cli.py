@@ -48,7 +48,7 @@ from weakiasi.set_label import (
     verify_iasi,
     verify_weak_iasi,
 )
-from weakiasi.sparing import sparing_formula_corona
+from weakiasi.sparing import CapacityError, sparing_formula_corona
 
 OPS = ["cartesian", "direct", "strong", "lex", "corona", "rooted"]
 
@@ -133,8 +133,8 @@ class TestSparing:
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_CAPACITY
 
-    def test_capacity_error_names_both_ways_to_raise_the_bound(self, tmp_path,
-                                                                capsys):
+    def test_capacity_error_names_the_flag_that_raises_the_bound(self, tmp_path,
+                                                                 capsys):
         p = tmp_path / "c12.json"
         p.write_text(cycle_graph(12).to_json())
         code = main(["sparing", "--graph", str(p), "--oracle-bound", "6",
@@ -142,26 +142,13 @@ class TestSparing:
         assert code == EXIT_CAPACITY
         err = capsys.readouterr().err
         assert "12 vertices" in err and "bound is 6" in err
-        assert "--oracle-bound" in err and "WEAKIASI_ORACLE_BOUND" in err
-
-    def test_oracle_bound_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", "6")
-        from weakiasi.sparing import oracle_bound_default
-        assert oracle_bound_default() == 6
+        # The bound has one source, the caller; no environment variable.
+        assert "--oracle-bound" in err and "WEAKIASI_" not in err
 
     def test_negative_oracle_bound_is_usage_error(self, graphs, tmp_path):
         code = main(["sparing", "--graph", graphs["k4"], "--oracle-bound", "-1",
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_USAGE
-
-    @pytest.mark.parametrize("env", ["abc", "-1"])
-    def test_bad_oracle_bound_env_is_parse_error(self, graphs, tmp_path,
-                                                 monkeypatch, capsys, env):
-        monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", env)
-        code = main(["sparing", "--graph", graphs["k4"],
-                     "--out", str(tmp_path / "s.json")])
-        assert code == EXIT_PARSE
-        assert "WEAKIASI_ORACLE_BOUND" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -301,8 +288,11 @@ class TestDot:
 
 
 class TestSweep:
-    def test_sweep_passes_its_bound_to_factor_labelings(self, monkeypatch):
-        monkeypatch.setenv("WEAKIASI_ORACLE_BOUND", "3")
+    def test_sweep_passes_its_bound_to_factor_labelings(self):
+        # The factor witnesses are the first oracle calls, and C5 is the
+        # only 5-vertex family, so a bound of 4 stops the sweep there.
+        with pytest.raises(CapacityError, match="5 vertices, exact oracle bound is 4"):
+            run_sweep(oracle_bound=4)
         assert run_sweep(oracle_bound=24)["all_passed"]
 
     def test_sweep_verifies_and_assigns_each_product_labeling_once(self, monkeypatch):

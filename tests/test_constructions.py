@@ -42,7 +42,7 @@ from weakiasi.set_label import (
     mono_indexed_stats,
     verify_weak_iasi,
 )
-from weakiasi.sparing import sparing_exact, sparing_formula_corona
+from weakiasi.sparing import DEFAULT_ORACLE_BOUND, sparing_exact, sparing_formula_corona
 
 FAMILIES = {
     "P2": path_graph(2), "P3": path_graph(3), "P4": path_graph(4),
@@ -52,7 +52,7 @@ FAMILIES = {
 }
 
 
-def witness(g, bound=None):
+def witness(g, bound=DEFAULT_ORACLE_BOUND):
     """The pattern of an optimal weak IASI of g: the oracle's witness."""
     return frozenset(sparing_exact(g, bound).witness)
 

@@ -99,6 +99,18 @@ class TestGraphType:
         for u, v in itertools.product(range(n), repeat=2):
             assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in drawn)
 
+    def test_make_and_replace_normalize_and_validate(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        h = g._replace(edges=((2, 1), (0, 1), (0, 1)))
+        assert h == g and h.edges == ((0, 1), (1, 2)) and h.m == 2 and h.has_edge(1, 2)
+        assert Graph._make((3, [(1, 2), (0, 1)])).edges == ((0, 1), (1, 2))
+        # Isolated vertices stay accepted, as in copies.
+        assert g._replace(edges=[(0, 1)]) == Graph(3, [(0, 1)], allow_isolated=True)
+        with pytest.raises(GraphError):
+            g._replace(edges=[(0, 3)])
+        with pytest.raises(GraphError):
+            Graph._make((2, [(0, 2)]))
+
     def test_json_round_trip_is_stable(self):
         g = Graph(4, [(3, 1), (0, 2), (1, 0)], allow_isolated=True)
         text = g.to_json()
@@ -297,6 +309,14 @@ class TestUnionAndLayers:
         prod, vmap = cartesian_product(P3, P2)
         with pytest.raises(GraphError):
             restrict_to_layer(prod, vmap, 1, 2)
+
+    @pytest.mark.parametrize("vertices", [[0, 5], [-1, 0]], ids=["past-n", "negative"])
+    def test_induced_subgraph_rejects_vertices_outside_the_graph(self, vertices):
+        with pytest.raises(GraphError, match=r"0\.\.2"):
+            P3.induced_subgraph(vertices)
+
+    def test_induced_subgraph_of_no_vertices_is_empty(self):
+        assert P3.induced_subgraph([]) == (Graph(0), [])
 
 
 class TestBipartite:

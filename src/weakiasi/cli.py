@@ -389,8 +389,10 @@ def build_parser():
                          help="second factor labeling (ops that read both)")
 
     p_verify = sub.add_parser("verify", help="verify a labeling")
-    common(p_verify, graph=True, dot=True)
+    common(p_verify, graph=True, dot=True, oracle_bound=False)
     p_verify.add_argument("--labels", required=True, help="labeling JSON file")
+    p_verify.add_argument("--oracle-bound", type=int, default=sparing.DEFAULT_ORACLE_BOUND,
+                          help="accepted and unused: verify runs no oracle")
 
     p_sparing = sub.add_parser("sparing", help="exact sparing number")
     common(p_sparing, graph=True)

@@ -236,18 +236,14 @@ PRODUCT_OPS = {
 # ---------------------------------------------------------------------------
 # Concrete set assignment.
 
-_MIAN_CHOWLA_CACHE = [1]
-_MIAN_CHOWLA_SUMS = {2}
-
-
 def mian_chowla(count):
     """First `count` terms of the Mian-Chowla Sidon sequence (1, 2, 5, ...).
 
     Greedy: each term is the smallest integer keeping all pairwise sums
     (including doubles) distinct; a candidate is dropped at its first
-    colliding sum. The cache is append-only.
+    colliding sum.
     """
-    seq, sums = _MIAN_CHOWLA_CACHE, _MIAN_CHOWLA_SUMS
+    seq, sums = [1], {2}
     while len(seq) < count:
         candidate = seq[-1] + 1
         while True:
@@ -265,7 +261,7 @@ def mian_chowla(count):
         seq.append(candidate)
         sums.update(new_sums)
         sums.add(2 * candidate)
-    return list(seq[:count])
+    return seq[:count]
 
 
 def _erdos_turan(count):

@@ -140,9 +140,12 @@ class Graph(_GraphFields):
         Returns (subgraph, old_id_by_new_id). Vertex order follows the
         sorted order of `vertices`.
         """
-        verts = sorted(set(vertices))
-        if verts and not (0 <= verts[0] and verts[-1] < self.n):
-            raise GraphError(f"induced vertices {verts[0]}..{verts[-1]} leave 0..{self.n - 1}")
+        verts = list(vertices)
+        for v in verts:
+            # bool is a subclass of int, so True would pass isinstance.
+            if type(v) is not int or not 0 <= v < self.n:
+                raise GraphError(f"induced vertex {v!r} is not a vertex id in 0..{self.n - 1}")
+        verts = sorted(set(verts))
         index = {v: i for i, v in enumerate(verts)}
         edges = [
             (index[u], index[v])
@@ -390,8 +393,11 @@ def restrict_to_layer(product, vmap, factor, index):
     factor=1 keeps {(i, index) : i}, so the layer is a copy of the first
     factor; factor=2 keeps {(index, j) : j}. Returns (layer graph, list of
     product vertex ids in layer-vertex order). For Cartesian products the
-    layer is the corresponding factor on the nose.
+    layer is the corresponding factor on the nose. Corona and rooted
+    products have no layers: their vertex maps raise GraphError.
     """
+    if not isinstance(vmap, ProductVertexMap):
+        raise GraphError(f"{type(vmap).__name__} has no layers; grid products only")
     if factor == 1:
         if not 0 <= index < vmap.n2:
             raise GraphError(f"layer index {index} out of range for factor 2")

@@ -10,11 +10,12 @@ is therefore
 
 which is a maximum-weight independent set problem with degree weights. The
 oracle solves it by branch and bound with bitset state. Its bound is the
-number of edges with an endpoint among the vertices still eligible: an
-independent set covers each edge at most once, and every edge at an
-eligible vertex is still uncovered, because the chosen vertices' neighbours
-are no longer eligible. The bound is updated per branch from the vertices
-that leave, not recounted.
+number of edges at eligible vertices: an independent set covers each edge
+at most once, and every edge at an eligible vertex is still uncovered,
+because the chosen vertices' neighbours are no longer eligible. One
+function, lost(taken, avail), gives how far the bound of avail falls when
+taken leaves it, so lost(x, x) is the bound of x itself; each branch
+updates the bound by it rather than recounting.
 
 Deciding a vertex often splits the eligible vertices into parts with no
 edge between them; in a corona or rooted product each copy of the second
@@ -78,154 +79,23 @@ def _adj_masks(g):
     return masks
 
 
-def _exact_search(g):
-    """Best coverage and lex-smallest witness of g, plus the node count.
-
-    Returns (best_cov, witness, nodes). See sparing_exact for the search.
-    """
-    degree = [m.bit_count() for m in _adj_masks(g)]
-    # Search bit i is the i-th vertex in branching order (descending
-    # degree, then index), so the next branching vertex is the lowest bit.
-    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[rank[u]] |= 1 << rank[v]
-        adj[rank[v]] |= 1 << rank[u]
-    deg = [degree[v] for v in order]
-    memo = {}  # part mask -> (its edge-count bound, its best coverage)
-    nodes = 0
-
-    def edge_bound(avail):
-        total = inner = 0
-        m = avail
-        while m:
-            lsb = m & -m
-            u = lsb.bit_length() - 1
-            total += deg[u]
-            inner += (adj[u] & avail).bit_count()
-            m ^= lsb
-        return total - inner // 2
-
-    def lost(taken, avail):
-        """How far the edge-count bound of avail falls when the vertices of
-        taken leave it: their edges to vertices already out of avail, and
-        the edges among them."""
-        outside = ~avail
-        out = inner = 0
-        m = taken
-        while m:
-            low = m & -m
-            a = adj[low.bit_length() - 1]
-            out += (a & outside).bit_count()
-            inner += (a & taken).bit_count()
-            m ^= low
-        return out + inner // 2
-
-    def parts_of(avail):
-        """The connected parts of avail, as masks."""
-        parts = []
-        rest = avail
-        while rest:
-            part = layer = rest & -rest
-            while layer:
-                grow = 0
-                while layer:
-                    low = layer & -layer
-                    grow |= adj[low.bit_length() - 1]
-                    layer ^= low
-                layer = grow & rest & ~part
-                part |= layer
-            parts.append(part)
-            rest ^= part
-        return parts
-
-    def peel(parts):
-        """The largest part, plus the bound and the best coverage summed
-        over the others, each solved exactly once per call."""
-        largest = max(parts, key=int.bit_count)
-        bound = cov = 0
-        for part in parts:
-            if part != largest:
-                known = memo.get(part)
-                if known is None:
-                    part_bound = edge_bound(part)
-                    known = memo[part] = (
-                        part_bound, gain(part, 0, part_bound, 0, part_bound + 1))
-                bound += known[0]
-                cov += known[1]
-        return largest, bound, cov
-
-    def gain(avail, cov, bound, best, goal):
-        """max(best, cov + the best coverage inside avail), where bound is
-        the edge-count bound of avail; or, as soon as that reaches goal,
-        any value of at least goal."""
-        nonlocal nodes
-        nodes += 1
-        if cov > best:
-            best = cov
-        if cov + bound <= best or best >= goal:
-            return best
-        parts = parts_of(avail)
-        if len(parts) > 1:
-            avail, peeled_bound, peeled = peel(parts)
-            bound -= peeled_bound
-            cov += peeled
-            if cov > best:
-                best = cov
-            if cov + bound <= best or best >= goal:
-                return best
-        bit = avail & -avail
-        v = bit.bit_length() - 1
-        if bit == avail:
-            return max(cov + deg[v], best)
-        taken = bit | (adj[v] & avail)
-        best = gain(avail ^ taken, cov + deg[v],
-                    bound - lost(taken, avail), best, goal)
-        if best >= goal:
-            return best
-        return gain(avail ^ bit, cov, bound - lost(bit, avail), best, goal)
-
-    everything = (1 << g.n) - 1
-    best_cov = gain(everything, 0, g.m, 0, g.m + 1)
-    witness = []
-    blocked = 0  # search bits of the chosen vertices and their neighbours
-    done = 0  # search bits of the vertices already decided
-    cov = 0
-    for v in range(g.n):
-        if cov == best_cov:
-            break
-        i = rank[v]
-        bit = 1 << i
-        done |= bit
-        if blocked & bit:
-            continue
-        # Can the best coverage still be reached with v and later vertices?
-        later = everything & ~(blocked | adj[i] | done)
-        if gain(later, cov + deg[i], edge_bound(later),
-                best_cov - 1, best_cov) == best_cov:
-            witness.append(v)
-            blocked |= bit | adj[i]
-            cov += deg[i]
-    return best_cov, tuple(witness), nodes
-
-
 def sparing_exact(g, oracle_bound=DEFAULT_ORACLE_BOUND):
     """Exact sparing number with a lexicographically smallest witness.
 
     Raises CapacityError when g has more than oracle_bound vertices.
 
-    The search branches on the eligible vertex of highest degree (lowest
-    index on ties): take it, or leave it out. At each node that survives
-    the edge-count bound, the eligible vertices are split into connected
-    parts. Every part but the largest is solved exactly, by the same
-    search with its own incumbent, and its value is added to the
-    coverage; the node then branches on the largest part with the
-    incumbent it already had. Part values are memoized by vertex mask in
-    a dict that lives for this one call. It needs no cap: each entry is
-    made by a search node, so the memo never outgrows the node count.
+    The sparing number is m minus the best coverage. The search bounds
+    the coverage still to gain by the number of edges at eligible
+    vertices, and lost(x, x) is that number for a vertex set x. It
+    branches on the eligible vertex of highest degree (lowest index on
+    ties): take it, or leave it out. At each node that survives the
+    bound, the eligible vertices are split into connected parts. Every
+    part but the largest is solved exactly, by the same search with its
+    own incumbent, and its value is added to the coverage; the node then
+    branches on the largest part with the incumbent it already had. Part
+    values are memoized by vertex mask in a dict that lives for this one
+    call. It needs no cap: each entry is made by a search node, so the
+    memo never outgrows the node count.
 
     Witness ties are broken by Python tuple order on the sorted vertex
     list, so a prefix beats any of its extensions. The witness is built
@@ -243,8 +113,114 @@ def sparing_exact(g, oracle_bound=DEFAULT_ORACLE_BOUND):
         raise CapacityError(
             f"graph has {g.n} vertices, exact oracle bound is {oracle_bound}; "
             "raise it with --oracle-bound")
-    best_cov, witness, nodes = _exact_search(g)
-    return SparingResult(value=g.m - best_cov, witness=witness,
+    degree = [m.bit_count() for m in _adj_masks(g)]
+    # Search bit i is the i-th vertex in branching order (descending
+    # degree, then index), so the next branching vertex is the lowest bit.
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[rank[u]] |= 1 << rank[v]
+        adj[rank[v]] |= 1 << rank[u]
+    deg = [degree[v] for v in order]
+    memo = {}  # part mask -> (its edge-count bound, its best coverage)
+    nodes = 0
+
+    def lost(taken, avail):
+        """How far the edge-count bound of avail falls when the vertices of
+        taken leave it: their edges to vertices already out of avail, and
+        the edges among them."""
+        out = inner = 0
+        m = taken
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            a = adj[u]
+            out += deg[u] - (a & avail).bit_count()
+            inner += (a & taken).bit_count()
+            m ^= low
+        return out + inner // 2
+
+    def peel(avail):
+        """The largest connected part of avail, plus the bound and the best
+        coverage summed over the other parts, each solved exactly once per
+        call."""
+        largest = bound = cov = 0
+        rest = avail
+        while rest:
+            part = layer = rest & -rest
+            while layer:
+                grow = 0
+                while layer:
+                    low = layer & -layer
+                    grow |= adj[low.bit_length() - 1]
+                    layer ^= low
+                layer = grow & rest & ~part
+                part |= layer
+            rest ^= part
+            # Keep the first of the largest parts; solve every other one.
+            if part.bit_count() > largest.bit_count():
+                largest, part = part, largest
+            if part:
+                known = memo.get(part)
+                if known is None:
+                    part_bound = lost(part, part)
+                    known = memo[part] = (
+                        part_bound, gain(part, 0, part_bound, 0, part_bound + 1))
+                bound += known[0]
+                cov += known[1]
+        return largest, bound, cov
+
+    def gain(avail, cov, bound, best, goal):
+        """max(best, cov + the best coverage inside avail), where bound is
+        the edge-count bound of avail; or, as soon as that reaches goal,
+        any value of at least goal."""
+        nonlocal nodes
+        nodes += 1
+        if cov > best:
+            best = cov
+        if cov + bound <= best or best >= goal:
+            return best
+        avail, peeled_bound, peeled = peel(avail)
+        bound -= peeled_bound
+        cov += peeled
+        if cov > best:
+            best = cov
+        if cov + bound <= best or best >= goal:
+            return best
+        bit = avail & -avail
+        v = bit.bit_length() - 1
+        if bit == avail:
+            return max(cov + deg[v], best)
+        taken = bit | (adj[v] & avail)
+        best = gain(avail ^ taken, cov + deg[v],
+                    bound - lost(taken, avail), best, goal)
+        if best >= goal:
+            return best
+        return gain(avail ^ bit, cov, bound - lost(bit, avail), best, goal)
+
+    free = (1 << g.n) - 1  # search bits of the undecided, unblocked vertices
+    best_cov = gain(free, 0, g.m, 0, g.m + 1)
+    witness = []
+    cov = 0
+    for v in range(g.n):
+        if cov == best_cov:
+            break
+        i = rank[v]
+        bit = 1 << i
+        if not free & bit:
+            continue
+        free ^= bit
+        # Can the best coverage still be reached with v and later vertices?
+        later = free & ~adj[i]
+        if gain(later, cov + deg[i], lost(later, later),
+                best_cov - 1, best_cov) == best_cov:
+            witness.append(v)
+            free = later
+            cov += deg[i]
+    return SparingResult(value=g.m - best_cov, witness=tuple(witness),
                          method="exact-oracle", nodes=nodes)
 
 

@@ -359,6 +359,17 @@ class TestUnusedFlags:
         assert code == EXIT_USAGE
         assert not (tmp_path / "x.json").exists()
 
+    def test_verify_help_says_oracle_bound_is_unused(self, graphs, tmp_path, capsys):
+        labels = tmp_path / "l.json"
+        labels.write_text(optimal_labeling(cycle_graph(4)).to_json())
+        args = ["verify", "--graph", graphs["c4"], "--labels", str(labels),
+                "--out", str(tmp_path / "r.json"), "--oracle-bound"]
+        assert main([*args, "0"]) == EXIT_OK
+        assert main([*args, "-1"]) == EXIT_USAGE
+        assert main(["verify", "--help"]) == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "verify runs no oracle" in help_text and "max vertices" not in help_text
+
     def test_sweep_rejects_allow_isolated(self, tmp_path):
         code = main(["sweep", "--allow-isolated", "--out", str(tmp_path / "s.json")])
         assert code == EXIT_USAGE

@@ -310,7 +310,14 @@ class TestUnionAndLayers:
         with pytest.raises(GraphError):
             restrict_to_layer(prod, vmap, 1, 2)
 
-    @pytest.mark.parametrize("vertices", [[0, 5], [-1, 0]], ids=["past-n", "negative"])
+    def test_corona_and_rooted_products_have_no_layers(self):
+        for prod, vmap in (corona(P3, P2), rooted_product(P3, P2, 0)):
+            for factor in (1, 2):
+                with pytest.raises(GraphError, match="no layers"):
+                    restrict_to_layer(prod, vmap, factor, 0)
+
+    @pytest.mark.parametrize("vertices", [[0, 5], [-1, 0], [0.5], [True, 2], [[0]]],
+                             ids=["past-n", "negative", "float", "bool", "list"])
     def test_induced_subgraph_rejects_vertices_outside_the_graph(self, vertices):
         with pytest.raises(GraphError, match=r"0\.\.2"):
             P3.induced_subgraph(vertices)

@@ -43,16 +43,17 @@ def export_dot(g, labeling=None, path=None):
     construction cost is visible at a glance.
     """
     lines = ["graph G {"]
+    sets = labeling.sets_for(g) if labeling is not None else None
     for v in range(g.n):
-        if labeling is not None:
-            label = "{" + ",".join(map(str, labeling[v])) + "}"
-            shape = "ellipse" if labeling[v].is_singleton() else "box"
+        if sets is not None:
+            label = "{" + ",".join(map(str, sets[v])) + "}"
+            shape = "ellipse" if sets[v].is_singleton() else "box"
             lines.append(f'  {v} [label="{v}: {label}", shape={shape}];')
         else:
             lines.append(f"  {v};")
     for u, v in g.edges:
         style = ""
-        if labeling is not None and labeling[u].is_singleton() and labeling[v].is_singleton():
+        if sets is not None and sets[u].is_singleton() and sets[v].is_singleton():
             style = ' [color=red, penwidth=2.0, style=bold]'
         lines.append(f"  {u} -- {v}{style};")
     lines.append("}")
@@ -72,7 +73,7 @@ def _load_json(path):
     return parse_json(text, GraphError, f"cannot parse {path}: ")
 
 
-def _load_graph(path, allow_isolated=False):
+def _load_graph(path, allow_isolated):
     return Graph.from_json_dict(_load_json(path), allow_isolated=allow_isolated)
 
 
@@ -377,10 +378,12 @@ def build_parser():
                        help="root vertex of g2 (rooted product only)")
 
     p_build = sub.add_parser("build", help="construct a graph product")
+    p_build.set_defaults(handler=cmd_build)
     common(p_build, dot=True, oracle_bound=False)
     factors(p_build, [*constructions.PRODUCT_OPS, "union"], required=True)
 
     p_label = sub.add_parser("label", help="plan and assign a weak IASI")
+    p_label.set_defaults(handler=cmd_label)
     common(p_label, dot=True)
     p_label.add_argument("--labels", default=None, help="labeling JSON file")
     p_label.add_argument("--graph", default=None, help="graph JSON (no product)")
@@ -389,28 +392,22 @@ def build_parser():
                          help="second factor labeling (ops that read both)")
 
     p_verify = sub.add_parser("verify", help="verify a labeling")
+    p_verify.set_defaults(handler=cmd_verify)
     common(p_verify, graph=True, dot=True, oracle_bound=False)
     p_verify.add_argument("--labels", required=True, help="labeling JSON file")
     p_verify.add_argument("--oracle-bound", type=int, default=sparing.DEFAULT_ORACLE_BOUND,
                           help="accepted and unused: verify runs no oracle")
 
     p_sparing = sub.add_parser("sparing", help="exact sparing number")
+    p_sparing.set_defaults(handler=cmd_sparing)
     common(p_sparing, graph=True)
 
     p_sweep = sub.add_parser("sweep", help="run the small-graph property suite")
+    p_sweep.set_defaults(handler=cmd_sweep)
     common(p_sweep, isolated=False)
     p_sweep.add_argument("--seed", type=int, default=0,
                          help="seed for randomized sweep cases")
     return parser
-
-
-_HANDLERS = {
-    "build": cmd_build,
-    "label": cmd_label,
-    "verify": cmd_verify,
-    "sparing": cmd_sparing,
-    "sweep": cmd_sweep,
-}
 
 
 def _check_args(args):
@@ -442,7 +439,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         _check_args(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -63,11 +63,12 @@ def scale_set(r, a):
 
 
 class Labeling:
-    """Total assignment of set-labels to the vertices of one graph."""
+    """Total assignment of set-labels to the vertices of one graph, stored
+    once as sets: the tuple holding vertex v's IntegerSet at index v. Every
+    reader on a graph g takes sets_for(g), which applies the one rule for
+    reading a labeling on another graph."""
 
     def __init__(self, graph, labels):
-        labels = {v: (s if isinstance(s, IntegerSet) else IntegerSet(s))
-                  for v, s in labels.items()}
         # n int keys in range cover the graph (1.0 and True equal a vertex
         # but are not one). A tiny input can name a huge graph, so messages
         # give counts and ten vertex ids at most.
@@ -83,27 +84,39 @@ class Labeling:
             raise LabelError(f"labeling names {len(extra)} unknown vertices "
                              f"(first: {extra[:10]})")
         self.graph = graph
-        self.labels = labels
+        self.sets = tuple([s if isinstance(s, IntegerSet) else IntegerSet(s)
+                           for s in map(labels.__getitem__, vertices)])
 
     def __eq__(self, other):
         if not isinstance(other, Labeling):
             return NotImplemented
-        return self.graph == other.graph and self.labels == other.labels
+        return self.graph == other.graph and self.sets == other.sets
 
     def __getitem__(self, v):
-        return self.labels[v]
+        # A tuple index of -1 would quietly name the last vertex.
+        if type(v) is int and 0 <= v < len(self.sets):
+            return self.sets[v]
+        raise KeyError(v)
+
+    def sets_for(self, g):
+        """sets, or LabelError unless g has the labeled graph's vertex count
+        and only edges of it."""
+        if g.n != self.graph.n or (self.graph != g
+                                   and not set(g.edges) <= set(self.graph.edges)):
+            raise LabelError("the labeling was made for a different graph")
+        return self.sets
 
     def edge_label(self, u, v):
         """Induced edge label f(u) + f(v); uv must be an edge."""
         if not self.graph.has_edge(u, v):
             raise LabelError(f"({u},{v}) is not an edge of the labeled graph")
-        return sumset(self.labels[u], self.labels[v])
+        return sumset(self.sets[u], self.sets[v])
 
     def non_singleton_vertices(self):
-        return {v for v, s in self.labels.items() if len(s) > 1}
+        return {v for v, s in enumerate(self.sets) if len(s) > 1}
 
     def to_json_dict(self):
-        return {"labels": {str(v): list(s) for v, s in sorted(self.labels.items())}}
+        return {"labels": {str(v): list(s) for v, s in enumerate(self.sets)}}
 
     def to_json(self):
         return json.dumps(self.to_json_dict())
@@ -157,7 +170,7 @@ def mono_indexed_stats(g, labeling):
     A mono-indexed element has set-indexing number 1; an edge is mono
     exactly when both endpoints carry singletons.
     """
-    single = [len(labeling[v]) == 1 for v in range(g.n)]
+    single = [len(s) == 1 for s in labeling.sets_for(g)]
     mono_edges = [(u, v) for u, v in g.edges if single[u] and single[v]]
     return sum(single), len(mono_edges), mono_edges
 
@@ -183,10 +196,7 @@ def _verify(g, labeling, weak):
     only kind that can fail the weak condition (reported when weak is true).
     Non-mono keys have two or more elements, so no int equals one.
     """
-    if g.n != labeling.graph.n or (labeling.graph != g
-                                   and not set(g.edges) <= set(labeling.graph.edges)):
-        raise LabelError("the labeling was made for a different graph")
-    sets = list(map(labeling.labels.__getitem__, range(g.n)))
+    sets = labeling.sets_for(g)
     single = [s[0] if len(s) == 1 else None for s in sets]
     keys, mono_edges, edge_violations = [], [], []
     for e in g.edges:
@@ -246,11 +256,16 @@ def restrict_labeling(labeling, subgraph, old_ids):
     """
     if subgraph.n != len(old_ids):
         raise LabelError("old_ids length does not match the subgraph")
-    return Labeling(subgraph, {new: labeling[old] for new, old in enumerate(old_ids)})
+    try:
+        sets = [labeling[old] for old in old_ids]
+    except KeyError as exc:
+        raise LabelError(f"old id {exc.args[0]!r} is not a vertex of the labeled graph") from None
+    return Labeling(subgraph, dict(enumerate(sets)))
 
 
 def is_k_uniform(g, labeling, k):
     """True when every induced edge label has cardinality exactly k."""
     if k < 1:
         raise LabelError("uniformity degree must be a positive integer")
-    return all(len(labeling.edge_label(u, v)) == k for u, v in g.edges)
+    sets = labeling.sets_for(g)
+    return all(len(sumset(sets[u], sets[v])) == k for u, v in g.edges)

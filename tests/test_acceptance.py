@@ -262,12 +262,12 @@ def _mutated_labelings(g, lab, rng):
     """Failing variants: duplicated vertex label; adjacent non-singletons."""
     out = []
     if g.n >= 2:
-        labels = dict(lab.labels)
+        labels = dict(enumerate(lab.sets))
         labels[g.n - 1] = labels[0]
         out.append(Labeling(g, labels))
     if g.edges:
         u, v = min(g.edges)
-        labels = dict(lab.labels)
+        labels = dict(enumerate(lab.sets))
         labels[u] = IntegerSet([1000, 1001])
         labels[v] = IntegerSet([2000, 2002])
         out.append(Labeling(g, labels))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_sparing import graphs
 
+from weakiasi.cli import export_dot
 from weakiasi.graph_core import (
     Graph,
     cartesian_product,
@@ -125,6 +126,20 @@ class TestLabeling:
         lab = L(g, [1], [2, 4], [3])
         again = Labeling.from_json(lab.to_json(), g)
         assert again == lab
+        # Keys in any order: the JSON keys come out ascending, and a
+        # document with shuffled keys reads back as the same labeling.
+        descending = Labeling(g, {2: [3], 1: [4, 2], 0: [1]})
+        assert list(descending.to_json_dict()["labels"]) == ["0", "1", "2"]
+        assert descending == lab
+        shuffled = {"labels": {"1": [2, 4], "2": [3], "0": [1]}}
+        assert Labeling.from_json_dict(shuffled, g) == lab
+
+    @pytest.mark.parametrize("v", [-1, 3, True], ids=["negative", "past-n", "bool"])
+    def test_getitem_rejects_ids_outside_the_graph(self, v):
+        lab = L(path_graph(3), [1], [2, 4], [3])
+        assert lab[2] == (3,)
+        with pytest.raises(KeyError):
+            lab[v]
 
 
 class TestVerifyIasi:
@@ -228,7 +243,7 @@ def colliding_labeled_graphs(draw):
     gadget = [[x], [total - x], [y], [total - y],
               [shift + d], sorted(base), [shift], sorted(b + d for b in base)]
     g = disjoint_union(g, Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
-    labels = dict(lab.labels)
+    labels = dict(enumerate(lab.sets))
     labels.update((g.n - 8 + i, s) for i, s in enumerate(gadget))
     return g, Labeling(g, labels)
 
@@ -267,15 +282,20 @@ class TestVerifierAgainstReference:
             assert verify(g, lab) == reference_report(g, lab, weak)
             assert verify(g, lab) != verify(sup, lab)
             assert verify(g, twins) == verify(g, own) == reference_report(g, own, weak)
+        assert export_dot(g, lab) == export_dot(g, own)
+        assert [is_k_uniform(g, lab, k) for k in (1, 2)] == [False, True]
 
     @pytest.mark.parametrize("labeled", [Graph(3, [(0, 1)], allow_isolated=True),
                                          path_graph(4)],
                              ids=["missing-edge", "other-vertex-count"])
     def test_labeling_of_another_graph_is_rejected(self, labeled):
         lab = Labeling(labeled, {v: IntegerSet([v]) for v in range(labeled.n)})
-        for verify in (verify_weak_iasi, verify_iasi):
-            with pytest.raises(LabelError):
-                verify(path_graph(3), lab)
+        readers = [verify_weak_iasi, verify_iasi, mono_indexed_stats, export_dot,
+                   lambda g, lab: is_k_uniform(g, lab, 1),
+                   lambda g, lab: is_k_uniform(g, lab, 2)]
+        for read in readers:
+            with pytest.raises(LabelError, match="made for a different graph"):
+                read(path_graph(3), lab)
 
 
 class TestStatsAndUniformity:
@@ -351,3 +371,10 @@ class TestHeredity:
                 sub, ids = g.induced_subgraph(verts)
                 rep = verify_weak_iasi(sub, restrict_labeling(lab, sub, ids))
                 assert rep.passed
+
+    @pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([0, 2], 2)],
+                             ids=["negative", "past-n"])
+    def test_restrict_labeling_rejects_ids_outside_the_graph(self, ids, bad):
+        lab = L(path_graph(2), [1], [2, 3])
+        with pytest.raises(LabelError, match=f"old id {bad} is not a vertex"):
+            restrict_labeling(lab, path_graph(2), ids)

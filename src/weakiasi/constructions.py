@@ -288,9 +288,8 @@ def assign_concrete_sets(g, plan):
     equal pair sums, and the Sidon property then forces the same edge.
     """
     non_singleton = _independent(g, plan.non_singleton, "plan")
-    labels = {v: IntegerSet((x, x + 1) if v in non_singleton else (x,))
-              for v, x in enumerate(_erdos_turan(g.n))}
-    return Labeling(g, labels)
+    return Labeling(g, [IntegerSet((x, x + 1) if v in non_singleton else (x,))
+                        for v, x in enumerate(_erdos_turan(g.n))])
 
 
 def build_labeling(g, plan):

@@ -122,6 +122,8 @@ class Graph(_GraphFields):
         return list(self.edges)
 
     def has_edge(self, u, v):
+        if type(u) is not int or type(v) is not int:  # True and 0.0 are not ids
+            return False
         e = (u, v) if u < v else (v, u)
         i = bisect_left(self.edges, e)
         return i < len(self.edges) and self.edges[i] == e

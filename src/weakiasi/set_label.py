@@ -14,7 +14,7 @@ import json
 from itertools import islice
 from typing import NamedTuple
 
-from .graph_core import parse_json
+from .graph_core import Graph, parse_json
 
 
 class LabelError(ValueError):
@@ -57,40 +57,49 @@ def sumset(a, b):
 
 def scale_set(r, a):
     """Elementwise multiple r*A. Scaling preserves cardinality, so r >= 1."""
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise LabelError("scale factor must be a positive integer")
     return IntegerSet(r * x for x in a)
 
 
-class Labeling:
-    """Total assignment of set-labels to the vertices of one graph, stored
-    once as sets: the tuple holding vertex v's IntegerSet at index v. Every
-    reader on a graph g takes sets_for(g), which applies the one rule for
-    reading a labeling on another graph."""
+class _LabelingFields(NamedTuple):
+    graph: Graph
+    sets: tuple
 
-    def __init__(self, graph, labels):
-        # n int keys in range cover the graph (1.0 and True equal a vertex
-        # but are not one). A tiny input can name a huge graph, so messages
-        # give counts and ten vertex ids at most.
+
+class Labeling(_LabelingFields):
+    """Total assignment of set-labels to the vertices of one graph, stored
+    once as sets, the tuple holding vertex v's IntegerSet at index v:
+    labeling[v] is vertex v's set, while unpacking gives (graph, sets). Every
+    reader on a graph g takes sets_for(g), the one rule for other graphs."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph, labels):
+        # labels maps vertex -> set, or is the stored form, a sequence in
+        # vertex order. n int keys in range cover the graph (1.0 and True
+        # equal a vertex but are not one). A tiny input can name a huge
+        # graph, so messages give counts and ten vertex ids at most.
+        keys = labels.keys() if hasattr(labels, "keys") else range(len(labels))
         vertices = range(graph.n)
-        extra = [v for v in labels if type(v) is not int or v not in vertices]
+        extra = [v for v in keys if type(v) is not int or v not in vertices]
         if extra or len(labels) != graph.n:
             missing = graph.n - len(labels) + len(extra)
             if missing:
-                keys = {v for v in labels if type(v) is int}
+                keys = {v for v in keys if type(v) is int}
                 first = list(islice((v for v in vertices if v not in keys), 10))
                 raise LabelError(f"labeling misses {missing} of {graph.n} vertices "
                                  f"(first: {first})")
             raise LabelError(f"labeling names {len(extra)} unknown vertices "
                              f"(first: {extra[:10]})")
-        self.graph = graph
-        self.sets = tuple([s if isinstance(s, IntegerSet) else IntegerSet(s)
-                           for s in map(labels.__getitem__, vertices)])
+        sets = tuple([s if isinstance(s, IntegerSet) else IntegerSet(s)
+                      for s in map(labels.__getitem__, vertices)])
+        return super().__new__(cls, graph, sets)
 
-    def __eq__(self, other):
-        if not isinstance(other, Labeling):
-            return NotImplemented
-        return self.graph == other.graph and self.sets == other.sets
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here too, so it validates.
+        return cls(*iterable)
 
     def __getitem__(self, v):
         # A tuple index of -1 would quietly name the last vertex.
@@ -260,12 +269,12 @@ def restrict_labeling(labeling, subgraph, old_ids):
         sets = [labeling[old] for old in old_ids]
     except KeyError as exc:
         raise LabelError(f"old id {exc.args[0]!r} is not a vertex of the labeled graph") from None
-    return Labeling(subgraph, dict(enumerate(sets)))
+    return Labeling(subgraph, sets)
 
 
 def is_k_uniform(g, labeling, k):
     """True when every induced edge label has cardinality exactly k."""
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise LabelError("uniformity degree must be a positive integer")
     sets = labeling.sets_for(g)
     return all(len(sumset(sets[u], sets[v])) == k for u, v in g.edges)

@@ -99,6 +99,11 @@ class TestGraphType:
         for u, v in itertools.product(range(n), repeat=2):
             assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in drawn)
 
+    @pytest.mark.parametrize("u, v", [(True, 0), (0.0, 1), (0, 1.0), (True, False)])
+    def test_has_edge_is_false_for_ids_that_are_not_ints(self, u, v):
+        g = path_graph(3)
+        assert g.has_edge(0, 1) and not g.has_edge(u, v)
+
     def test_make_and_replace_normalize_and_validate(self):
         g = Graph(3, [(0, 1), (1, 2)])
         h = g._replace(edges=((2, 1), (0, 1), (0, 1)))

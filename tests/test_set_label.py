@@ -96,6 +96,11 @@ class TestScaleSet:
         with pytest.raises(LabelError):
             scale_set(0, IntegerSet([1, 2]))
 
+    @pytest.mark.parametrize("r", [True, 1.5, 2.0], ids=["bool", "fraction", "float"])
+    def test_non_int_scale_rejected(self, r):
+        with pytest.raises(LabelError, match="scale factor must be a positive integer"):
+            scale_set(r, IntegerSet([1, 2]))
+
     @given(st.integers(min_value=1, max_value=9), integer_sets, integer_sets)
     def test_distributes_over_sumset(self, r, a, b):
         assert scale_set(r, sumset(a, b)) == sumset(scale_set(r, a), scale_set(r, b))
@@ -112,6 +117,30 @@ class TestLabeling:
         with pytest.raises(LabelError, match="misses 1 of 3 vertices"):
             Labeling(path_graph(3), {0: [1], key: [2, 3], 2: [4]})
 
+    def test_sequence_in_vertex_order_equals_mapping(self):
+        g = path_graph(3)
+        lab = Labeling(g, [[1], (4, 2), IntegerSet([3])])
+        assert lab == Labeling(g, {2: [3], 0: [1], 1: [2, 4]}) == L(g, [1], [2, 4], [3])
+        assert lab.sets == ((1,), (2, 4), (3,)) and lab[1] == (2, 4)
+        graph, sets = lab
+        assert graph is g and sets is lab.sets
+
+    @pytest.mark.parametrize("sets, message", [
+        ([[1]], r"misses 2 of 3 vertices \(first: \[1, 2\]\)"),
+        ([[1], [2], [3], [4], [5]], r"names 2 unknown vertices \(first: \[3, 4\]\)"),
+    ], ids=["short", "long"])
+    def test_sequence_of_wrong_length_rejected(self, sets, message):
+        with pytest.raises(LabelError, match=message):
+            Labeling(path_graph(3), sets)
+
+    def test_replace_validates(self):
+        lab = L(path_graph(3), [1], [2, 4], [3])
+        assert lab._replace(sets=[[5], [6], [7]]) == L(path_graph(3), [5], [6], [7])
+        with pytest.raises(LabelError, match="names 1 unknown vertices"):
+            lab._replace(sets=lab.sets + (IntegerSet([9]),))
+        with pytest.raises(LabelError, match="misses 1 of 4 vertices"):
+            lab._replace(graph=path_graph(4))
+
     def test_edge_label_is_sumset(self):
         lab = L(path_graph(2), [1], [2, 4])
         assert lab.edge_label(0, 1).elements == (3, 5)
@@ -120,6 +149,12 @@ class TestLabeling:
         lab = L(path_graph(3), [1], [2], [3])
         with pytest.raises(LabelError):
             lab.edge_label(0, 2)
+
+    @pytest.mark.parametrize("u, v", [(True, 0), (0.0, 1), (0.0, True), (1, 2.0)])
+    def test_edge_label_rejects_ids_that_are_not_ints(self, u, v):
+        lab = L(path_graph(3), [1], [2], [3])
+        with pytest.raises(LabelError, match="is not an edge of the labeled graph"):
+            lab.edge_label(u, v)
 
     def test_json_round_trip(self):
         g = path_graph(3)
@@ -320,6 +355,13 @@ class TestStatsAndUniformity:
         r, mono, edges = mono_indexed_stats(g, lab)
         assert (r, mono) == (2, 1)
         assert not any(is_k_uniform(g, lab, k) for k in (1, 2, 3))
+
+    @pytest.mark.parametrize("k", [0, True, 1.5, 2.0], ids=["zero", "bool", "fraction", "float"])
+    def test_degree_must_be_a_positive_int(self, k):
+        g = cycle_graph(4)
+        lab = L(g, [1], [10, 11], [2], [20, 22])
+        with pytest.raises(LabelError, match="uniformity degree must be a positive integer"):
+            is_k_uniform(g, lab, k)
 
 
 def _all_small_graphs(max_n=5):

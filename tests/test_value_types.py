@@ -6,10 +6,14 @@ SparingResult's search-node count stays out of equality.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import weakiasi
 from weakiasi.constructions import LabelPlan
 from weakiasi.graph_core import (
     CoronaVertexMap,
@@ -43,6 +47,8 @@ RECORDS = {
     "BipartiteResult": (lambda: is_bipartite(path_graph(3)),
                         is_bipartite(Graph(3, [(0, 1), (1, 2), (0, 2)])), "sides"),
     "IntegerSet": (lambda: IntegerSet([3, 1, 3]), IntegerSet([1, 2]), "elements"),
+    "Labeling": (lambda: Labeling(path_graph(3), {0: [1], 1: [2, 3], 2: [7]}),
+                 Labeling(path_graph(3), {0: [1], 1: [2, 3], 2: [8]}), "sets"),
     "VerificationReport": (_report, _report(([1], [1])), "passed"),
     "SparingResult": (lambda: SparingResult(1, (0, 2), "exact-oracle", nodes=5),
                       SparingResult(2, (0, 2), "exact-oracle", nodes=5), "value"),
@@ -74,6 +80,17 @@ def test_copies_and_pickles_are_equal(name):
     value = RECORDS[name][0]()
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and type(clone) is type(value)
+
+
+def test_every_class_is_a_tuple_or_an_exception():
+    """README's rule: each record is an immutable tuple; errors are the
+    only other classes."""
+    classes = [cls for info in pkgutil.iter_modules(weakiasi.__path__)
+               for module in [importlib.import_module(f"weakiasi.{info.name}")]
+               for cls in vars(module).values()
+               if inspect.isclass(cls) and cls.__module__ == module.__name__]
+    assert {"Graph", "Labeling", "IntegerSet", "VerificationReport"} <= {c.__name__ for c in classes}
+    assert [c.__name__ for c in classes if not issubclass(c, (tuple, Exception))] == []
 
 
 class TestIntegerSet:

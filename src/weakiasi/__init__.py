@@ -20,6 +20,7 @@ from .graph_core import (
     direct_product,
     disjoint_union,
     is_bipartite,
+    is_vertex,
     lexicographic_product,
     path_graph,
     restrict_to_layer,

@@ -34,6 +34,7 @@ from .graph_core import (
     corona,
     direct_product,
     is_bipartite,
+    is_vertex,
     lexicographic_product,
     rooted_product,
     strong_product,
@@ -69,9 +70,9 @@ class LabelPlan(NamedTuple):
 
 def _independent(g, vertices, who):
     """vertices as a set, once shown to be an independent set of g's vertices."""
-    vertices = set(vertices)
-    if any(not 0 <= v < g.n for v in vertices):
+    if not all(is_vertex(v, g.n) for v in vertices):
         raise PlanError(f"{who} names vertices outside the graph")
+    vertices = set(vertices)
     if any(u in vertices and v in vertices for u, v in g.edges):
         raise PlanError(f"{who}'s non-singleton set is not independent")
     return vertices

@@ -26,6 +26,12 @@ class GraphError(ValueError):
     """Malformed graph input (bad endpoints, self-loops, isolated vertices)."""
 
 
+def is_vertex(v, n):
+    """The one vertex-id rule: v is an int in 0..n-1. True and 1.0 equal
+    the id 1, and bool is a subclass of int, but neither is a vertex."""
+    return type(v) is int and 0 <= v < n
+
+
 def _unique_keys(pairs):
     """A JSON object as a dict; a repeated key would silently drop a value."""
     obj = dict(pairs)
@@ -80,6 +86,7 @@ class Graph(_GraphFields):
                 raise GraphError(f"edge {e!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
                 raise GraphError(f"edge {e!r} has a non-integer endpoint")
+            # is_vertex, inlined: this loop runs on every edge of every load and product.
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
             if u < v:
@@ -122,7 +129,7 @@ class Graph(_GraphFields):
         return list(self.edges)
 
     def has_edge(self, u, v):
-        if type(u) is not int or type(v) is not int:  # True and 0.0 are not ids
+        if not (is_vertex(u, self.n) and is_vertex(v, self.n)):
             return False
         e = (u, v) if u < v else (v, u)
         i = bisect_left(self.edges, e)
@@ -144,8 +151,7 @@ class Graph(_GraphFields):
         """
         verts = list(vertices)
         for v in verts:
-            # bool is a subclass of int, so True would pass isinstance.
-            if type(v) is not int or not 0 <= v < self.n:
+            if not is_vertex(v, self.n):
                 raise GraphError(f"induced vertex {v!r} is not a vertex id in 0..{self.n - 1}")
         verts = sorted(set(verts))
         index = {v: i for i, v in enumerate(verts)}
@@ -159,6 +165,9 @@ class Graph(_GraphFields):
     def is_connected(self):
         if self.n == 0:
             return True
+        if self.m < self.n - 1:
+            # Too few edges to span: answer before adjacency() makes n sets.
+            return False
         adj = self.adjacency()
         seen = {0}
         stack = [0]
@@ -232,12 +241,12 @@ class ProductVertexMap(NamedTuple):
     n2: int
 
     def forward(self, i, j):
-        if not (0 <= i < self.n1 and 0 <= j < self.n2):
+        if not (is_vertex(i, self.n1) and is_vertex(j, self.n2)):
             raise GraphError(f"({i},{j}) outside {self.n1}x{self.n2} grid")
         return i * self.n2 + j
 
     def inverse(self, pid):
-        if not (0 <= pid < self.n1 * self.n2):
+        if not is_vertex(pid, self.n1 * self.n2):
             raise GraphError(f"product vertex {pid} out of range")
         return divmod(pid, self.n2)
 
@@ -254,7 +263,7 @@ class CoronaVertexMap(NamedTuple):
 
     def copy_vertex(self, i, j):
         """Product id of vertex j in the i-th copy of g2."""
-        if not (0 <= i < self.p1 and 0 <= j < self.p2):
+        if not (is_vertex(i, self.p1) and is_vertex(j, self.p2)):
             raise GraphError(f"copy vertex ({i},{j}) out of range")
         return self.p1 + i * self.p2 + j
 
@@ -279,13 +288,13 @@ class RootedVertexMap(NamedTuple):
     root: int
 
     def merged_vertex(self, i):
-        if not 0 <= i < self.n1:
+        if not is_vertex(i, self.n1):
             raise GraphError(f"g1 vertex {i} out of range")
         return i
 
     def copy_vertex(self, i, v):
         """Product id of g2-vertex v inside copy i (v may be the root)."""
-        if not (0 <= i < self.n1 and 0 <= v < self.n2):
+        if not (is_vertex(i, self.n1) and is_vertex(v, self.n2)):
             raise GraphError(f"copy vertex ({i},{v}) out of range")
         if v == self.root:
             return i
@@ -371,7 +380,7 @@ def corona(g1, g2):
 def rooted_product(g1, g2, root):
     """Rooted product: one copy of g2 per g1 vertex, roots identified."""
     _require_nonempty(g1, g2)
-    if not 0 <= root < g2.n:
+    if not is_vertex(root, g2.n):
         raise GraphError(f"root {root} is not a vertex of the rooted factor")
     vmap = RootedVertexMap(g1.n, g2.n, root)
     edges = list(g1.edges)
@@ -395,23 +404,20 @@ def restrict_to_layer(product, vmap, factor, index):
     factor=1 keeps {(i, index) : i}, so the layer is a copy of the first
     factor; factor=2 keeps {(index, j) : j}. Returns (layer graph, list of
     product vertex ids in layer-vertex order). For Cartesian products the
-    layer is the corresponding factor on the nose. Corona and rooted
-    products have no layers: their vertex maps raise GraphError.
+    layer is the corresponding factor on the nose. index is a vertex of the
+    other factor: vmap.forward raises GraphError when it is not, as it does
+    for any id outside the grid. Corona and rooted products have no layers
+    and raise GraphError.
     """
     if not isinstance(vmap, ProductVertexMap):
         raise GraphError(f"{type(vmap).__name__} has no layers; grid products only")
     if factor == 1:
-        if not 0 <= index < vmap.n2:
-            raise GraphError(f"layer index {index} out of range for factor 2")
         ids = [vmap.forward(i, index) for i in range(vmap.n1)]
     elif factor == 2:
-        if not 0 <= index < vmap.n1:
-            raise GraphError(f"layer index {index} out of range for factor 1")
         ids = [vmap.forward(index, j) for j in range(vmap.n2)]
     else:
         raise GraphError("factor must be 1 or 2")
-    sub, old_ids = product.induced_subgraph(ids)
-    return sub, old_ids
+    return product.induced_subgraph(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +450,7 @@ def is_bipartite(g):
                     queue.append(w)
                 elif color[w] == color[v]:
                     return BipartiteResult(False, odd_cycle=_odd_cycle(parent, v, w))
-    side0 = tuple(v for v in range(g.n) if color[v] in (0, -1))
+    side0 = tuple(v for v in range(g.n) if color[v] == 0)
     side1 = tuple(v for v in range(g.n) if color[v] == 1)
     return BipartiteResult(True, sides=(side0, side1))
 

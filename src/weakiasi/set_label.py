@@ -14,7 +14,7 @@ import json
 from itertools import islice
 from typing import NamedTuple
 
-from .graph_core import Graph, parse_json
+from .graph_core import Graph, is_vertex, parse_json
 
 
 class LabelError(ValueError):
@@ -77,16 +77,15 @@ class Labeling(_LabelingFields):
 
     def __new__(cls, graph, labels):
         # labels maps vertex -> set, or is the stored form, a sequence in
-        # vertex order. n int keys in range cover the graph (1.0 and True
-        # equal a vertex but are not one). A tiny input can name a huge
-        # graph, so messages give counts and ten vertex ids at most.
+        # vertex order; n vertex-id keys cover the graph. A tiny input can
+        # name a huge graph, so messages give counts and ten ids at most.
         keys = labels.keys() if hasattr(labels, "keys") else range(len(labels))
         vertices = range(graph.n)
-        extra = [v for v in keys if type(v) is not int or v not in vertices]
+        extra = [v for v in keys if not is_vertex(v, graph.n)]
         if extra or len(labels) != graph.n:
             missing = graph.n - len(labels) + len(extra)
             if missing:
-                keys = {v for v in keys if type(v) is int}
+                keys = {v for v in keys if is_vertex(v, graph.n)}
                 first = list(islice((v for v in vertices if v not in keys), 10))
                 raise LabelError(f"labeling misses {missing} of {graph.n} vertices "
                                  f"(first: {first})")
@@ -103,7 +102,7 @@ class Labeling(_LabelingFields):
 
     def __getitem__(self, v):
         # A tuple index of -1 would quietly name the last vertex.
-        if type(v) is int and 0 <= v < len(self.sets):
+        if is_vertex(v, len(self.sets)):
             return self.sets[v]
         raise KeyError(v)
 

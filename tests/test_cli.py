@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -433,12 +434,19 @@ class TestUnusedFlags:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
-def run_module(*args):
-    """Run `python -m weakiasi` in a fresh interpreter, as a user would."""
+def run_module(*args, **kwargs):
+    """Run `python -m weakiasi` in a fresh interpreter, as a user would;
+    kwargs go to subprocess.run."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     return subprocess.run([sys.executable, "-m", "weakiasi", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
+def _cap_address_space():
+    """preexec_fn: 1 GB of address space, so a run that allocates per vertex
+    of a huge graph fails with MemoryError instead of filling the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
 class TestModuleEntryPoint:
@@ -503,6 +511,17 @@ class TestStrictInput:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.encode()) < 1024
         assert "misses 999999 of 1000000 vertices" in proc.stderr
+
+    def test_build_of_a_huge_edgeless_product_is_small(self, tmp_path):
+        # Two 25-byte factors make a 10^8-vertex product with no edges.
+        factor, out = tmp_path / "g.json", tmp_path / "out.json"
+        factor.write_text(json.dumps({"n": 10 ** 4, "edges": []}))
+        proc = run_module("build", "--op", "cartesian", "--g1", str(factor), "--g2", str(factor),
+                          "--allow-isolated", "--out", str(out),
+                          preexec_fn=_cap_address_space)
+        assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+        payload = read(out)
+        assert (payload["n"], payload["edges"], payload["connected"]) == (10 ** 8, [], False)
 
     @pytest.mark.parametrize("label", [[True], [1, True]], ids=["true", "one-and-true"])
     def test_bool_label_element_is_parse_error(self, graphs, tmp_path, label):

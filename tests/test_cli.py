@@ -59,7 +59,7 @@ def graphs(tmp_path):
     paths = {}
     for name, g in [("k4", complete_graph(4)), ("c4", cycle_graph(4)),
                     ("c5", cycle_graph(5)), ("p2", path_graph(2)),
-                    ("p3", path_graph(3))]:
+                    ("p3", path_graph(3)), ("p4", path_graph(4))]:
         p = tmp_path / f"{name}.json"
         p.write_text(g.to_json())
         paths[name] = str(p)
@@ -727,6 +727,18 @@ GOLDEN_WITHOUT_LABELING = {
 }
 
 
+# SHA-256 of `label --op rooted --g1 C5 --g2 P4 --root r` for every root r.
+# C4 looks the same from each of its vertices, P4 does not, so each root
+# gives its own product, plan and labeling. Taken while every planner call
+# still passed the root beside the vertex map that records it.
+ROOTED_GOLDEN = {
+    0: "f06ecd8eb31004b2cbccf2d016c89d89a8173462f7558b342cc3c888c2620b91",
+    1: "9af8d83a00e49ce9d8f4b8f0abe58cb68a06caba4dd3abcc7fda9518e5f558b6",
+    2: "e70ae1624c58ae6b1037fd2d884983ae2739a4c26bf98dcbe6ac7604e575918a",
+    3: "5c14fa9b4eebe5e5cd2c308567307b7e3b85fd17d32741e3c5c36303569b3262",
+}
+
+
 class TestEveryOp:
     @staticmethod
     def run_op(graphs, tmp_path, command, op):
@@ -749,6 +761,13 @@ class TestEveryOp:
         del payload["labeling"]
         text = json.dumps(payload, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WITHOUT_LABELING[op]
+
+    @pytest.mark.parametrize("root", sorted(ROOTED_GOLDEN))
+    def test_rooted_output_is_pinned_at_every_root(self, graphs, tmp_path, root):
+        out = tmp_path / "out.json"
+        assert main(["label", "--op", "rooted", "--g1", graphs["c5"], "--g2", graphs["p4"],
+                     "--root", str(root), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOTED_GOLDEN[root]
 
     @staticmethod
     def labeling_file(tmp_path, name, g, non_singleton):

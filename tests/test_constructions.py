@@ -350,6 +350,12 @@ class TestFullPlannerSweep:
 # while each planner still built its own product and read whole labelings.
 SWEEP_GRID_PLANS_SHA256 = "c6edf1151bc782a9c3ca01a636a1a8a545cc972ffe0e234aaa762559aaa3e462"
 
+# SHA-256 over plan_rooted's plan.to_json_dict() on every ordered pair of the
+# sweep families at every root of the second factor, taken while the planner
+# still took the root beside the vertex map that records it.
+SWEEP_GRID_ROOTED_PLANS_SHA256 = (
+    "89fc36399306313fe36c4baf27c46acf9c6de86e97cb636bf21e857407365cce")
+
 
 class TestPlanPin:
     def test_sweep_grid_plans_are_pinned(self):
@@ -363,6 +369,18 @@ class TestPlanPin:
                 plans.append([name1, name2, op, plan.to_json_dict()])
         digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
         assert digest == SWEEP_GRID_PLANS_SHA256
+
+    def test_rooted_plans_at_every_root_are_pinned(self):
+        families = sweep_families()
+        optimal = {name: witness(g, 24) for name, g in families.items()}
+        plans = []
+        for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
+            for root in range(g2.n):
+                product, vmap = rooted_product(g1, g2, root)
+                plan = plan_rooted(product, vmap, g1, optimal[name1], g2, optimal[name2], root)
+                plans.append([name1, name2, root, plan.to_json_dict()])
+        digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
+        assert digest == SWEEP_GRID_ROOTED_PLANS_SHA256
 
 
 factors = graphs(max_n=6).filter(lambda g: g.n >= 1)

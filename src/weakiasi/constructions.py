@@ -2,14 +2,16 @@
 
 Each planner takes the product graph and vertex map its builder returned,
 then each factor it reads with its pattern: the vertices a weak IASI of it
-makes non-singleton, all that the proofs read of a factor labeling. It
-checks only that each pattern is an independent set of its factor's
-vertices, as every weak IASI's is, and decides which product vertices get
-non-singleton labels, following the corresponding constructive proof; the
-decisions are recorded as a LabelPlan whose non-singleton set is
-independent in the product: by proof for the direct, lexicographic,
-corona and rooted patterns, and by demoting (and flagging) conflicts in the
-Cartesian and strong planners. Concrete sets are then filled in by
+makes non-singleton, all that the proofs read of a factor labeling. The
+vertex map is the one record of the product's layout: the rooted planner
+reads the root from it and takes none of its own. A planner checks only
+that each pattern is an independent set of its factor's vertices, as every
+weak IASI's is, and decides which product vertices get non-singleton
+labels, following the corresponding constructive proof; the decisions are
+recorded as a LabelPlan whose non-singleton set is independent in the
+product: by proof for the direct, lexicographic, corona and rooted
+patterns, and by demoting (and flagging) conflicts in the Cartesian and
+strong planners. Concrete sets are then filled in by
 assign_concrete_sets: vertex v takes x_v, the v-th term of the Erdos-Turan
 Sidon set 2pk + (k^2 mod p) with p the least prime >= the vertex count
 (linear time, below 2p^2; mian_chowla keeps the greedy Sidon sequence as a
@@ -175,33 +177,27 @@ def plan_corona(product, vmap, g1, s1, g2, s2):
     return LabelPlan(frozenset(desired), "corona")
 
 
-def plan_rooted(product, vmap, g1, s1, g2, s2, root):
-    """Rooted-product pattern.
+def plan_rooted(product, vmap, g1, s1, g2, s2):
+    """Rooted-product pattern around the root vmap.root.
 
-    Copy i carries g2's pattern s2. The merged vertex follows s1, except
-    that a merged vertex in s1 over a root outside s2 falls back to the
-    root's singleton: the merged vertex is non-singleton only when both s1
-    and s2 hold it. Independent: merged vertices follow s1 and copies s2,
-    and a merged vertex needs both to agree.
+    Copy i carries g2's pattern s2, except at its root, which copy_vertex
+    maps to the merged vertex i: that vertex also follows s1, so it is
+    non-singleton only when both s1 and s2 hold it. Independent: merged
+    vertices follow s1 and copies s2, and a merged vertex needs both.
     """
     s1 = _independent(g1, s1, "first factor")
     s2 = _independent(g2, s2, "second factor")
-    root_non_singleton = root in s2
-    non_singleton2 = s2 - {root}
-    desired = set()
-    for i in range(g1.n):
-        if i in s1 and root_non_singleton:
-            desired.add(vmap.merged_vertex(i))
-        desired.update(vmap.copy_vertex(i, v) for v in non_singleton2)
+    desired = {vmap.copy_vertex(i, v) for i in range(g1.n) for v in s2
+               if v != vmap.root or i in s1}
     return LabelPlan(frozenset(desired), "rooted")
 
 
 class ProductOp(NamedTuple):
     """A product's builder, build(g1, g2, root) -> (product, vmap), its
-    planner, plan(product, vmap, g1, s1, g2, s2, root) -> LabelPlan, which
-    plans on the pair build returned, and the factors (1, 2) whose patterns
-    plan reads, in the order --labels and --labels2 give them.
-    Only a rooted op uses root; the others ignore it."""
+    planner, plan(product, vmap, g1, s1, g2, s2) -> LabelPlan, which plans
+    on the pair build returned, and the factors (1, 2) whose patterns plan
+    reads, in the order --labels and --labels2 give them.
+    Only a rooted op's build uses root; its vmap records it for plan."""
 
     build: object
     plan: object
@@ -214,22 +210,22 @@ class ProductOp(NamedTuple):
 PRODUCT_OPS = {
     "cartesian": ProductOp(
         lambda g1, g2, r: cartesian_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2, r: plan_cartesian(p, vm, g1, s1, g2), (1,)),
+        lambda p, vm, g1, s1, g2, s2: plan_cartesian(p, vm, g1, s1, g2), (1,)),
     "direct": ProductOp(
         lambda g1, g2, r: direct_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2, r: plan_direct(p, vm, g1, s1, g2), (1,)),
+        lambda p, vm, g1, s1, g2, s2: plan_direct(p, vm, g1, s1, g2), (1,)),
     "strong": ProductOp(
         lambda g1, g2, r: strong_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2, r: plan_strong(p, vm, g1, s1, g2), (1,)),
+        lambda p, vm, g1, s1, g2, s2: plan_strong(p, vm, g1, s1, g2), (1,)),
     "lex": ProductOp(
         lambda g1, g2, r: lexicographic_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2, r: plan_lexicographic(p, vm, g1, g2, s2), (2,)),
+        lambda p, vm, g1, s1, g2, s2: plan_lexicographic(p, vm, g1, g2, s2), (2,)),
     "corona": ProductOp(
         lambda g1, g2, r: corona(g1, g2),
-        lambda p, vm, g1, s1, g2, s2, r: plan_corona(p, vm, g1, s1, g2, s2), (1, 2)),
+        lambda p, vm, g1, s1, g2, s2: plan_corona(p, vm, g1, s1, g2, s2), (1, 2)),
     "rooted": ProductOp(
         lambda g1, g2, r: rooted_product(g1, g2, r),
-        lambda p, vm, g1, s1, g2, s2, r: plan_rooted(p, vm, g1, s1, g2, s2, r), (1, 2),
+        lambda p, vm, g1, s1, g2, s2: plan_rooted(p, vm, g1, s1, g2, s2), (1, 2),
         rooted=True),
 }
 

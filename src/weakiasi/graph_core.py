@@ -294,6 +294,8 @@ class RootedVertexMap(NamedTuple):
 
     def copy_vertex(self, i, v):
         """Product id of g2-vertex v inside copy i (v may be the root)."""
+        if not is_vertex(self.root, self.n2):
+            raise GraphError(f"root {self.root} is not a vertex of the rooted factor")
         if not (is_vertex(i, self.n1) and is_vertex(v, self.n2)):
             raise GraphError(f"copy vertex ({i},{v}) out of range")
         if v == self.root:

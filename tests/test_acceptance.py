@@ -163,7 +163,7 @@ def _all_products(g1, s1, g2, s2):
     prod, vmap = corona(g1, g2)
     yield "corona", prod, plan_corona(prod, vmap, g1, s1, g2, s2)
     prod, vmap = rooted_product(g1, g2, 0)
-    yield "rooted", prod, plan_rooted(prod, vmap, g1, s1, g2, s2, 0)
+    yield "rooted", prod, plan_rooted(prod, vmap, g1, s1, g2, s2)
 
 
 def test_criterion_5_construction_validity_sweep():

@@ -842,7 +842,7 @@ class TestEveryOp:
         if op == "rooted":
             args += ["--root", "0"]
             prod, vmap = rooted_product(c5, c4, 0)
-            want = plan_rooted(prod, vmap, c5, s1, c4, s2, 0)
+            want = plan_rooted(prod, vmap, c5, s1, c4, s2)
         else:
             prod, vmap = corona(c5, c4)
             want = plan_corona(prod, vmap, c5, s1, c4, s2)

@@ -303,7 +303,7 @@ class TestPlanRooted:
         g = complete_graph(2)
         for root in (0, 1):
             prod, vmap = rooted_product(g, g, root)
-            plan = plan_rooted(prod, vmap, g, {1}, g, {1}, root)
+            plan = plan_rooted(prod, vmap, g, {1}, g, {1})
             lab, rep = build_labeling(prod, plan)
             assert rep.passed
 
@@ -312,13 +312,13 @@ class TestPlanRooted:
         # s1 makes vertex 0 non-singleton, but the copy root (vertex 0 of g2)
         # is singleton, so the merged vertex falls back to singleton.
         prod, vmap = rooted_product(g, g, 0)
-        plan = plan_rooted(prod, vmap, g, {0}, g, {1}, 0)
+        plan = plan_rooted(prod, vmap, g, {0}, g, {1})
         assert vmap.merged_vertex(0) not in plan.non_singleton
 
     def test_c3_rooted_p2(self):
         g1, g2 = cycle_graph(3), path_graph(2)
         prod, vmap = rooted_product(g1, g2, 0)
-        plan = plan_rooted(prod, vmap, g1, witness(g1), g2, witness(g2), 0)
+        plan = plan_rooted(prod, vmap, g1, witness(g1), g2, witness(g2))
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -337,7 +337,7 @@ class TestFullPlannerSweep:
                 (strong[0], plan_strong(*strong, g1, s1, g2)),
                 (lex[0], plan_lexicographic(*lex, g1, g2, s2)),
                 (cor[0], plan_corona(*cor, g1, s1, g2, s2)),
-                (rooted[0], plan_rooted(*rooted, g1, s1, g2, s2, 0)),
+                (rooted[0], plan_rooted(*rooted, g1, s1, g2, s2)),
             ]
             for prod, plan in plans:
                 assert_independent(prod, plan.non_singleton)
@@ -365,7 +365,7 @@ class TestPlanPin:
         for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
             for op, spec in PRODUCT_OPS.items():
                 product, vmap = spec.build(g1, g2, 0)
-                plan = spec.plan(product, vmap, g1, optimal[name1], g2, optimal[name2], 0)
+                plan = spec.plan(product, vmap, g1, optimal[name1], g2, optimal[name2])
                 plans.append([name1, name2, op, plan.to_json_dict()])
         digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
         assert digest == SWEEP_GRID_PLANS_SHA256
@@ -377,7 +377,7 @@ class TestPlanPin:
         for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
             for root in range(g2.n):
                 product, vmap = rooted_product(g1, g2, root)
-                plan = plan_rooted(product, vmap, g1, optimal[name1], g2, optimal[name2], root)
+                plan = plan_rooted(product, vmap, g1, optimal[name1], g2, optimal[name2])
                 plans.append([name1, name2, root, plan.to_json_dict()])
         digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
         assert digest == SWEEP_GRID_ROOTED_PLANS_SHA256
@@ -394,10 +394,16 @@ class TestEveryOpOnRandomFactors:
         root = rng.randrange(g2.n)
         for op, spec in PRODUCT_OPS.items():
             product, vmap = spec.build(g1, g2, root)
-            plan = spec.plan(product, vmap, g1, s1, g2, s2, root)
+            plan = spec.plan(product, vmap, g1, s1, g2, s2)
             assert_independent(product, plan.non_singleton)
             if op in ("direct", "lex", "corona", "rooted"):
                 assert plan.demoted == frozenset(), op  # independent by proof
+            if op == "rooted":
+                # Merged vertex i iff s1 holds i and s2 the root; copy vertex
+                # (i, v) for v other than the root iff s2 holds v.
+                merged = {vmap.merged_vertex(i) for i in s1 if root in s2}
+                copies = {vmap.copy_vertex(i, v) for i in range(g1.n) for v in s2 - {root}}
+                assert plan.non_singleton == merged | copies
             _, rep = build_labeling(product, plan)
             assert rep.passed, (op, rep.violations)
 

@@ -68,6 +68,7 @@ ENTRIES = {
     "rooted-copy-i": (GraphError, lambda x: RootedVertexMap(3, 2, 0).copy_vertex(x(3), 0)),
     "rooted-copy-v": (GraphError, lambda x: RootedVertexMap(3, 2, 0).copy_vertex(0, x(2))),
     "rooted_product-root": (GraphError, lambda x: rooted_product(P3, P2, x(2))),
+    "rooted-map-root": (GraphError, lambda x: RootedVertexMap(3, 3, x(3)).copy_vertex(0, 2)),
     "plan_cartesian": (PlanError, lambda x: plan_cartesian(
         *cartesian_product(P3, P2), P3, {x(3)}, P2)),
     "plan_direct": (PlanError, lambda x: plan_direct(*direct_product(P3, P2), P3, {x(3)}, P2)),
@@ -79,9 +80,9 @@ ENTRIES = {
     "plan_corona-s2": (PlanError, lambda x: plan_corona(
         *corona(P3, P3), P3, set(), P3, {x(3)})),
     "plan_rooted-s1": (PlanError, lambda x: plan_rooted(
-        *rooted_product(P3, P3, 0), P3, {x(3)}, P3, {0}, 0)),
+        *rooted_product(P3, P3, 0), P3, {x(3)}, P3, {0})),
     "plan_rooted-s2": (PlanError, lambda x: plan_rooted(
-        *rooted_product(P3, P3, 0), P3, set(), P3, {x(3)}, 0)),
+        *rooted_product(P3, P3, 0), P3, set(), P3, {x(3)})),
     "assign_concrete_sets": (PlanError, lambda x: assign_concrete_sets(
         P3, LabelPlan(frozenset({x(3)}), "x"))),
     "Labeling-key": (LabelError, lambda x: Labeling(P2, {0: [1], x(2): [3]})),

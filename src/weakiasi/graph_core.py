@@ -387,8 +387,8 @@ def rooted_product(g1, g2, root):
     vmap = RootedVertexMap(g1.n, g2.n, root)
     edges = list(g1.edges)
     for i in range(g1.n):
-        for u, v in g2.edges:
-            edges.append((vmap.copy_vertex(i, u), vmap.copy_vertex(i, v)))
+        ids = [vmap.copy_vertex(i, v) for v in range(g2.n)]
+        edges.extend((ids[u], ids[v]) for u, v in g2.edges)
     n = g1.n + g1.n * (g2.n - 1)
     return Graph(n, edges, allow_isolated=True), vmap
 

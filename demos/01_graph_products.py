@@ -47,7 +47,7 @@ print(f"P3 o  K2 : n={g.n}, m={g.m} (=n2^2*m1+n1*m2 = 4*2+3*1 = 11)")
 
 g, cmap = corona(c4, k2)
 print(f"C4 (.) K2: n={g.n} (=p1(1+p2)), m={g.m} (=q1+p1*q2+p1*p2 = 4+4+8)")
-print(f"  copy attached to cycle vertex 1 occupies vertices {cmap.copy_vertices(1)}")
+print(f"  copy attached to cycle vertex 1 occupies vertices {list(cmap.copy_vertices(1))}")
 
 g, rmap = rooted_product(c4, p3, root=1)
 print(f"C4 or P3 : n={g.n} (=n1+n1(n2-1) = 4+8); cycle vertex 2 merged with "

@@ -34,13 +34,13 @@ s1, s2 = res1.witness, res2.witness
 
 cases = [
     ("cartesian", cartesian_product,
-     lambda prod, vmap: plan_cartesian(prod, vmap, g1, s1, g2)),
+     lambda vmap: plan_cartesian(vmap, g1, s1, g2)),
     ("direct", direct_product,
-     lambda prod, vmap: plan_direct(prod, vmap, g1, s1, g2)),
+     lambda vmap: plan_direct(vmap, g1, s1, g2)),
     ("strong", strong_product,
-     lambda prod, vmap: plan_strong(prod, vmap, g1, s1, g2)),
+     lambda vmap: plan_strong(vmap, g1, s1, g2)),
     ("lexicographic", lexicographic_product,
-     lambda prod, vmap: plan_lexicographic(prod, vmap, g1, g2, s2)),
+     lambda vmap: plan_lexicographic(vmap, g1, g2, s2)),
 ]
 
 print(f"factors: C5 (sparing {res1.value}, pattern {s1}), "
@@ -48,7 +48,7 @@ print(f"factors: C5 (sparing {res1.value}, pattern {s1}), "
 
 for name, op, planner in cases:
     prod, vmap = op(g1, g2)
-    plan = planner(prod, vmap)
+    plan = planner(vmap)
     labeling, report = build_labeling(prod, plan)
     _, mono, _ = mono_indexed_stats(prod, labeling)
     exact = sparing_exact(prod, oracle_bound=32).value

@@ -47,7 +47,7 @@ for n1, g1 in families.items():
         r2, e2 = g2.n - len(s2), res2.value
         formula = sparing_formula_corona(g1.n, len(g2.edges), r1, r2)
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(prod, vmap, g1, s1, g2, s2)
+        plan = plan_corona(vmap, g1, s1, g2, s2)
         labeling, report = build_labeling(prod, plan)
         assert report.passed
         _, constr, _ = mono_indexed_stats(prod, labeling)

@@ -187,7 +187,7 @@ def cmd_label(args):
         factors = [((g1, g2)[i - 1], path, ("first factor", "second factor")[i - 1])
                    for i, path in zip(op.reads, (args.labels, args.labels2))]
         patterns = dict(zip(op.reads, _factor_patterns(factors, bound)))
-        plan = op.plan(g, vmap, g1, patterns.get(1), g2, patterns.get(2))
+        plan = op.plan(vmap, g1, patterns.get(1), g2, patterns.get(2))
     labeling, report = constructions.build_labeling(g, plan)
     payload = {
         "graph": g.to_json_dict(),
@@ -267,7 +267,7 @@ def run_sweep(oracle_bound=sparing.DEFAULT_ORACLE_BOUND, seed=0):
             s2 = witness[name2]
             for op, spec in constructions.PRODUCT_OPS.items():
                 product, vmap = spec.build(g1, g2, 0)
-                plan = spec.plan(product, vmap, g1, s1, g2, s2)
+                plan = spec.plan(vmap, g1, s1, g2, s2)
                 labeling, report = constructions.build_labeling(product, plan)
                 row = {
                     "g1": name1, "g2": name2, "op": op,

@@ -1,22 +1,22 @@
 """Constructive weak-IASI labelings for the six graph products.
 
-Each planner takes the product graph and vertex map its builder returned,
-then each factor it reads with its pattern: the vertices a weak IASI of it
-makes non-singleton, all that the proofs read of a factor labeling. The
-vertex map is the one record of the product's layout: the rooted planner
-reads the root from it and takes none of its own. A planner checks only
-that each pattern is an independent set of its factor's vertices, as every
-weak IASI's is, and decides which product vertices get non-singleton
-labels, following the corresponding constructive proof; the decisions are
-recorded as a LabelPlan whose non-singleton set is independent in the
-product: by proof for the direct, lexicographic, corona and rooted
-patterns, and by demoting (and flagging) conflicts in the Cartesian and
-strong planners. Concrete sets are then filled in by
-assign_concrete_sets: vertex v takes x_v, the v-th term of the Erdos-Turan
-Sidon set 2pk + (k^2 mod p) with p the least prime >= the vertex count
-(linear time, below 2p^2; mian_chowla keeps the greedy Sidon sequence as a
-reference), as {x_v, x_v + 1} if the plan makes it non-singleton and {x_v}
-otherwise. Any independent plan then gives a weak IASI:
+Each planner takes the vertex map its product's builder returned, no product
+graph, and each factor it reads with its pattern: the vertices a weak IASI
+of it makes non-singleton, all the proofs read of a factor labeling. The
+vertex map is the one record of the product's layout; the rooted planner
+reads the root from it. A planner checks only that each pattern is an
+independent set of its factor's vertices, as every weak IASI's is, and
+records the product vertices the constructive proof makes non-singleton as a
+LabelPlan, independent in the product: by proof for the direct,
+lexicographic, corona and rooted patterns. Cartesian and strong requests
+clash only within one g1 row, between adjacent layers, so those planners
+keep a greedy independent set of g2's layers in each row and demote (and
+flag) the rest. Concrete sets are then filled in by assign_concrete_sets:
+vertex v takes x_v, the v-th term of the Erdos-Turan Sidon set
+2pk + (k^2 mod p) with p the least prime >= the vertex count (linear time,
+below 2p^2; mian_chowla keeps the greedy Sidon sequence as a reference), as
+{x_v, x_v + 1} if the plan makes it non-singleton and {x_v} otherwise. Any
+independent plan then gives a weak IASI:
 
   * vertex labels differ, since their least elements x_v do;
   * every edge has a singleton end u, so it is labelled {x_u + x_v} when
@@ -72,28 +72,38 @@ class LabelPlan(NamedTuple):
 
 def _independent(g, vertices, who):
     """vertices as a set, once shown to be an independent set of g's vertices."""
-    if not all(is_vertex(v, g.n) for v in vertices):
+    listed = tuple(vertices)  # an iterator is read once; set() would merge True into 1
+    if not all(is_vertex(v, g.n) for v in listed):
         raise PlanError(f"{who} names vertices outside the graph")
-    vertices = set(vertices)
+    vertices = set(listed)
     if any(u in vertices and v in vertices for u, v in g.edges):
         raise PlanError(f"{who}'s non-singleton set is not independent")
     return vertices
 
 
-def _greedy_independent(g, candidates, provenance):
-    """Keep candidates in the given priority order, demoting conflicts."""
-    adj = g.adjacency()
-    kept = set()
-    demoted = set()
-    for v in candidates:
-        if adj[v] & kept:
-            demoted.add(v)
-        else:
+def _greedy(g, order):
+    """Greedy independent set of g: each vertex of order, in turn, is kept
+    unless a neighbour already is."""
+    adj, kept = g.adjacency(), set()
+    for v in order:
+        if not adj[v] & kept:
             kept.add(v)
+    return kept
+
+
+def _row_plan(vmap, g2, classes, provenance):
+    """Plan of (rows, layers) classes whose requests clash only between
+    adjacent layers of one row: each row keeps _greedy(g2, layers) and
+    demotes the rest, as a product-wide greedy taking layers in order would."""
+    kept, demoted = set(), set()
+    for rows, layers in classes:
+        keep = _greedy(g2, layers)
+        for j in layers:
+            (kept if j in keep else demoted).update(vmap.forward(i, j) for i in rows)
     return LabelPlan(frozenset(kept), provenance, frozenset(demoted))
 
 
-def plan_cartesian(product, vmap, g1, s1, g2):
+def plan_cartesian(vmap, g1, s1, g2):
     """Layered pattern for g1 [] g2.
 
     The product is n2 copies of g1, one per g2-vertex. Copies fall into
@@ -101,30 +111,21 @@ def plan_cartesian(product, vmap, g1, s1, g2):
     inverts it, except that vertices matching an endpoint of a mono edge of
     g1 (neither end in s1) stay singleton. When g2 is bipartite the classes
     are its two sides (the even/odd alternation along a path, generalized);
-    otherwise index parity is used and the unavoidable conflicts between
-    adjacent same-class copies are demoted greedily.
+    otherwise index parity is used. A class requests an independent set
+    of g1 rows, disjoint from the other's, so requests clash only within
+    a row, between adjacent layers: each row keeps a greedy independent
+    set of g2 over its class's layers and demotes the rest.
     """
     s1 = _independent(g1, s1, "first factor")
     mono_ends = {x for e in g1.edges if e[0] not in s1 and e[1] not in s1 for x in e}
     bip = is_bipartite(g2)
-    if bip.is_bipartite:
-        side1 = set(bip.sides[1])
-        layer_class = [1 if j in side1 else 0 for j in range(g2.n)]
-    else:
-        layer_class = [j % 2 for j in range(g2.n)]
-    desired = set()
-    for j in range(g2.n):
-        for i in range(g1.n):
-            if layer_class[j] == 0:
-                want = i in s1
-            else:
-                want = i not in s1 and i not in mono_ends
-            if want:
-                desired.add(vmap.forward(i, j))
-    return _greedy_independent(product, sorted(desired), "cartesian")
+    odd = set(bip.sides[1]) if bip.is_bipartite else set(range(1, g2.n, 2))
+    rows = (s1, set(range(g1.n)) - s1 - mono_ends)
+    layers = ([j for j in range(g2.n) if j not in odd], sorted(odd))
+    return _row_plan(vmap, g2, zip(rows, layers), "cartesian")
 
 
-def plan_direct(product, vmap, g1, s1, g2):
+def plan_direct(vmap, g1, s1, g2):
     """Every g1-copy of the direct product repeats g1's pattern s1.
 
     Independent: (i, j) ~ (i', j') needs i ~ i', and s1 is.
@@ -134,21 +135,19 @@ def plan_direct(product, vmap, g1, s1, g2):
     return LabelPlan(frozenset(desired), "direct")
 
 
-def plan_strong(product, vmap, g1, s1, g2):
+def plan_strong(vmap, g1, s1, g2):
     """Copy-by-copy pattern for g1 [x] g2.
 
-    Copy 0 inherits g1's pattern s1; later copies request the same pattern
-    and keep a vertex non-singleton only while it stays independent of
-    already planned copies (strong-product edges also join diagonal
-    neighbors, so copies adjacent in g2 usually demote most requests).
+    Every copy requests g1's pattern s1. Strong-product edges also join
+    diagonal neighbours, but s1 is independent, so requests clash only
+    within a row, between adjacent copies: each row keeps a greedy
+    independent set of g2 in ascending copy order and demotes the rest.
     """
-    non_singleton1 = sorted(_independent(g1, s1, "first factor"))
-    # Ascending copy order, then ascending g1-vertex order within a copy.
-    candidates = [vmap.forward(i, j) for j in range(g2.n) for i in non_singleton1]
-    return _greedy_independent(product, candidates, "strong")
+    s1 = _independent(g1, s1, "first factor")
+    return _row_plan(vmap, g2, [(s1, range(g2.n))], "strong")
 
 
-def plan_lexicographic(product, vmap, g1, g2, s2):
+def plan_lexicographic(vmap, g1, g2, s2):
     """Host an independent family of g1-vertices with g2's pattern s2.
 
     In g1 o g2 every vertex of a copy is adjacent to all vertices of the
@@ -158,12 +157,11 @@ def plan_lexicographic(product, vmap, g1, g2, s2):
     Independent: hosts are, and within a host copy s2 is.
     """
     s2 = _independent(g2, s2, "second factor")
-    hosts = _greedy_independent(g1, range(g1.n), "hosts").non_singleton
-    desired = {vmap.forward(u, j) for u in hosts for j in s2}
+    desired = {vmap.forward(u, j) for u in _greedy(g1, range(g1.n)) for j in s2}
     return LabelPlan(frozenset(desired), "lexicographic")
 
 
-def plan_corona(product, vmap, g1, s1, g2, s2):
+def plan_corona(vmap, g1, s1, g2, s2):
     """Corona pattern: g1 keeps its pattern s1; copies attached to g1-vertices
     outside s1 carry g2's pattern s2; copies attached to vertices in s1 are
     fully singleton (1-uniform). Independent: s1 and s2 are, and a
@@ -177,7 +175,7 @@ def plan_corona(product, vmap, g1, s1, g2, s2):
     return LabelPlan(frozenset(desired), "corona")
 
 
-def plan_rooted(product, vmap, g1, s1, g2, s2):
+def plan_rooted(vmap, g1, s1, g2, s2):
     """Rooted-product pattern around the root vmap.root.
 
     Copy i carries g2's pattern s2, except at its root, which copy_vertex
@@ -194,9 +192,9 @@ def plan_rooted(product, vmap, g1, s1, g2, s2):
 
 class ProductOp(NamedTuple):
     """A product's builder, build(g1, g2, root) -> (product, vmap), its
-    planner, plan(product, vmap, g1, s1, g2, s2) -> LabelPlan, which plans
-    on the pair build returned, and the factors (1, 2) whose patterns plan
-    reads, in the order --labels and --labels2 give them.
+    planner, plan(vmap, g1, s1, g2, s2) -> LabelPlan, which reads the vmap
+    build returned and no product, and the factors (1, 2) whose patterns
+    plan reads, in the order --labels and --labels2 give them.
     Only a rooted op's build uses root; its vmap records it for plan."""
 
     build: object
@@ -210,22 +208,22 @@ class ProductOp(NamedTuple):
 PRODUCT_OPS = {
     "cartesian": ProductOp(
         lambda g1, g2, r: cartesian_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2: plan_cartesian(p, vm, g1, s1, g2), (1,)),
+        lambda vm, g1, s1, g2, s2: plan_cartesian(vm, g1, s1, g2), (1,)),
     "direct": ProductOp(
         lambda g1, g2, r: direct_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2: plan_direct(p, vm, g1, s1, g2), (1,)),
+        lambda vm, g1, s1, g2, s2: plan_direct(vm, g1, s1, g2), (1,)),
     "strong": ProductOp(
         lambda g1, g2, r: strong_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2: plan_strong(p, vm, g1, s1, g2), (1,)),
+        lambda vm, g1, s1, g2, s2: plan_strong(vm, g1, s1, g2), (1,)),
     "lex": ProductOp(
         lambda g1, g2, r: lexicographic_product(g1, g2),
-        lambda p, vm, g1, s1, g2, s2: plan_lexicographic(p, vm, g1, g2, s2), (2,)),
+        lambda vm, g1, s1, g2, s2: plan_lexicographic(vm, g1, g2, s2), (2,)),
     "corona": ProductOp(
         lambda g1, g2, r: corona(g1, g2),
-        lambda p, vm, g1, s1, g2, s2: plan_corona(p, vm, g1, s1, g2, s2), (1, 2)),
+        lambda vm, g1, s1, g2, s2: plan_corona(vm, g1, s1, g2, s2), (1, 2)),
     "rooted": ProductOp(
         lambda g1, g2, r: rooted_product(g1, g2, r),
-        lambda p, vm, g1, s1, g2, s2: plan_rooted(p, vm, g1, s1, g2, s2), (1, 2),
+        lambda vm, g1, s1, g2, s2: plan_rooted(vm, g1, s1, g2, s2), (1, 2),
         rooted=True),
 }
 

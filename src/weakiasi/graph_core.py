@@ -268,11 +268,14 @@ class CoronaVertexMap(NamedTuple):
         return self.p1 + i * self.p2 + j
 
     def copy_vertices(self, i):
-        return [self.copy_vertex(i, j) for j in range(self.p2)]
+        """Product ids of the i-th copy of g2, as a range: vertex j at index j."""
+        if not is_vertex(i, self.p1):
+            raise GraphError(f"copy vertex ({i},0) out of range")
+        return range(self.p1 + i * self.p2, self.p1 + (i + 1) * self.p2)
 
     def to_json_dict(self):
         return {"kind": "corona", "p1": self.p1, "p2": self.p2,
-                "copies": {str(i): self.copy_vertices(i) for i in range(self.p1)}}
+                "copies": {str(i): list(self.copy_vertices(i)) for i in range(self.p1)}}
 
 
 class RootedVertexMap(NamedTuple):
@@ -372,10 +375,9 @@ def corona(g1, g2):
     vmap = CoronaVertexMap(g1.n, g2.n)
     edges = list(g1.edges)
     for i in range(g1.n):
-        for u, v in g2.edges:
-            edges.append((vmap.copy_vertex(i, u), vmap.copy_vertex(i, v)))
-        for j in range(g2.n):
-            edges.append((i, vmap.copy_vertex(i, j)))
+        ids = vmap.copy_vertices(i)
+        edges.extend((ids[u], ids[v]) for u, v in g2.edges)
+        edges.extend((i, x) for x in ids)
     return Graph(g1.n * (1 + g2.n), edges, allow_isolated=True), vmap
 
 

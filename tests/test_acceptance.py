@@ -153,17 +153,17 @@ def test_criterion_4_union_additivity():
 
 def _all_products(g1, s1, g2, s2):
     prod, vmap = cartesian_product(g1, g2)
-    yield "cartesian", prod, plan_cartesian(prod, vmap, g1, s1, g2)
+    yield "cartesian", prod, plan_cartesian(vmap, g1, s1, g2)
     prod, vmap = direct_product(g1, g2)
-    yield "direct", prod, plan_direct(prod, vmap, g1, s1, g2)
+    yield "direct", prod, plan_direct(vmap, g1, s1, g2)
     prod, vmap = strong_product(g1, g2)
-    yield "strong", prod, plan_strong(prod, vmap, g1, s1, g2)
+    yield "strong", prod, plan_strong(vmap, g1, s1, g2)
     prod, vmap = lexicographic_product(g1, g2)
-    yield "lex", prod, plan_lexicographic(prod, vmap, g1, g2, s2)
+    yield "lex", prod, plan_lexicographic(vmap, g1, g2, s2)
     prod, vmap = corona(g1, g2)
-    yield "corona", prod, plan_corona(prod, vmap, g1, s1, g2, s2)
+    yield "corona", prod, plan_corona(vmap, g1, s1, g2, s2)
     prod, vmap = rooted_product(g1, g2, 0)
-    yield "rooted", prod, plan_rooted(prod, vmap, g1, s1, g2, s2)
+    yield "rooted", prod, plan_rooted(vmap, g1, s1, g2, s2)
 
 
 def test_criterion_5_construction_validity_sweep():
@@ -211,7 +211,7 @@ def test_criterion_7_subgraph_heredity_on_layers():
     ok = True
     for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
         prod, vmap = cartesian_product(g1, g2)
-        plan = plan_cartesian(prod, vmap, g1, sparing_exact(g1).witness, g2)
+        plan = plan_cartesian(vmap, g1, sparing_exact(g1).witness, g2)
         lab, rep = build_labeling(prod, plan)
         ok = ok and rep.passed
         for j in range(g2.n):

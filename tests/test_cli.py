@@ -785,7 +785,7 @@ class TestEveryOp:
         assert main(["label", "--op", "lex", "--g1", graphs["c5"], "--g2", graphs["c4"],
                      "--labels", path, "--out", str(out)]) == EXIT_OK
         prod, vmap = lexicographic_product(c5, c4)
-        assert read(out)["plan"] == plan_lexicographic(prod, vmap, c5, c4, set()).to_json_dict()
+        assert read(out)["plan"] == plan_lexicographic(vmap, c5, c4, set()).to_json_dict()
 
     @pytest.mark.parametrize("op, flag, who", [
         ("cartesian", "--labels", "first factor"), ("direct", "--labels", "first factor"),
@@ -842,10 +842,10 @@ class TestEveryOp:
         if op == "rooted":
             args += ["--root", "0"]
             prod, vmap = rooted_product(c5, c4, 0)
-            want = plan_rooted(prod, vmap, c5, s1, c4, s2)
+            want = plan_rooted(vmap, c5, s1, c4, s2)
         else:
             prod, vmap = corona(c5, c4)
-            want = plan_corona(prod, vmap, c5, s1, c4, s2)
+            want = plan_corona(vmap, c5, s1, c4, s2)
         assert main(args) == EXIT_OK
         payload = read(out)
         assert payload["report"]["passed"]

@@ -75,6 +75,32 @@ def random_independent_set(g, rng):
     return chosen
 
 
+def product_greedy_plan(op, product, vmap, g1, s1, g2):
+    """(kept, demoted) of the Cartesian or strong plan by its definition: the
+    product-order greedy over the whole product. The strong product requests
+    s1 in every copy, in ascending copy then g1-vertex order; the Cartesian
+    product requests s1 in the copies of one layer class and the vertices
+    off s1 and off every mono edge in the other, in ascending product id.
+    Each request is kept unless a product neighbour already is."""
+    if op == "strong":
+        candidates = [vmap.forward(i, j) for j in range(g2.n) for i in sorted(s1)]
+    else:
+        mono_ends = {x for e in g1.edges if not set(e) & s1 for x in e}
+        bip = is_bipartite(g2)
+        if bip.is_bipartite:
+            layer_class = [int(j in bip.sides[1]) for j in range(g2.n)]
+        else:
+            layer_class = [j % 2 for j in range(g2.n)]
+        candidates = sorted(
+            vmap.forward(i, j) for j in range(g2.n) for i in range(g1.n)
+            if (i in s1 if layer_class[j] == 0 else i not in s1 | mono_ends))
+    adj = product.adjacency()
+    kept, demoted = set(), set()
+    for v in candidates:
+        (demoted if adj[v] & kept else kept).add(v)
+    return kept, demoted
+
+
 def is_sidon(values):
     sums = [a + b for a, b in itertools.combinations_with_replacement(values, 2)]
     return len(sums) == len(set(sums))
@@ -156,7 +182,7 @@ class TestPlanCartesian:
     def test_p2_box_p2_alternates(self):
         g1 = path_graph(2)
         prod, vmap = cartesian_product(g1, path_graph(2))
-        plan = plan_cartesian(prod, vmap, g1, {1}, path_graph(2))
+        plan = plan_cartesian(vmap, g1, {1}, path_graph(2))
         lab, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == 0
 
@@ -164,7 +190,7 @@ class TestPlanCartesian:
         g1 = complete_graph(3)
         g2 = path_graph(2)
         prod, vmap = cartesian_product(g1, g2)
-        plan = plan_cartesian(prod, vmap, g1, {2}, g2)  # mono edge (0,1)
+        plan = plan_cartesian(vmap, g1, {2}, g2)  # mono edge (0,1)
         # layer j=1 is inverted, but the mono-edge endpoints 0 and 1 stay singleton
         assert vmap.forward(0, 1) not in plan.non_singleton
         assert vmap.forward(1, 1) not in plan.non_singleton
@@ -179,14 +205,14 @@ class TestPlanCartesian:
         g1 = path_graph(2)
         prod, vmap = cartesian_product(g1, path_graph(2))
         with pytest.raises(PlanError, match=message):
-            plan_cartesian(prod, vmap, g1, pattern, path_graph(2))
+            plan_cartesian(vmap, g1, pattern, path_graph(2))
 
     def test_bipartite_factors_yield_zero_mono_edges(self):
         bipartite = [FAMILIES[k] for k in ("P2", "P3", "P4", "C4", "K2", "S3")]
         for g1, g2 in itertools.product(bipartite, repeat=2):
             prod, vmap = cartesian_product(g1, g2)
             assert is_bipartite(prod).is_bipartite
-            plan = plan_cartesian(prod, vmap, g1, witness(g1), g2)
+            plan = plan_cartesian(vmap, g1, witness(g1), g2)
             _, rep = build_labeling(prod, plan)
             assert rep.passed and rep.mono_edge_count == 0
 
@@ -195,7 +221,7 @@ class TestPlanDirect:
     def test_k2_pattern_repeats_per_copy(self):
         g1 = complete_graph(2)
         prod, vmap = direct_product(g1, complete_graph(2))
-        plan = plan_direct(prod, vmap, g1, {1}, complete_graph(2))
+        plan = plan_direct(vmap, g1, {1}, complete_graph(2))
         assert plan.non_singleton == {vmap.forward(1, 0), vmap.forward(1, 1)}
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -203,7 +229,7 @@ class TestPlanDirect:
     def test_c3_times_k2(self):
         g1 = cycle_graph(3)
         prod, vmap = direct_product(g1, complete_graph(2))
-        plan = plan_direct(prod, vmap, g1, witness(g1), complete_graph(2))
+        plan = plan_direct(vmap, g1, witness(g1), complete_graph(2))
         assert len(plan.non_singleton) == 2
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
@@ -212,7 +238,7 @@ class TestPlanDirect:
     def test_all_singleton_factor_gives_one_uniform_plan(self):
         g1 = path_graph(3)
         prod, vmap = direct_product(g1, path_graph(2))
-        plan = plan_direct(prod, vmap, g1, set(), path_graph(2))
+        plan = plan_direct(vmap, g1, set(), path_graph(2))
         assert plan.non_singleton == frozenset()
 
 
@@ -220,7 +246,7 @@ class TestPlanStrong:
     def test_k2_strong_k2_has_one_non_singleton(self):
         g1 = complete_graph(2)
         prod, vmap = strong_product(g1, complete_graph(2))
-        plan = plan_strong(prod, vmap, g1, {1}, complete_graph(2))
+        plan = plan_strong(vmap, g1, {1}, complete_graph(2))
         assert len(plan.non_singleton) == 1
         _, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == 3
@@ -228,7 +254,7 @@ class TestPlanStrong:
     def test_p3_strong_k2(self):
         g1 = path_graph(3)
         prod, vmap = strong_product(g1, complete_graph(2))
-        plan = plan_strong(prod, vmap, g1, witness(g1), complete_graph(2))
+        plan = plan_strong(vmap, g1, witness(g1), complete_graph(2))
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -238,7 +264,7 @@ class TestPlanLexicographic:
     def test_k2_lex_k2(self):
         g2 = complete_graph(2)
         prod, vmap = lexicographic_product(complete_graph(2), g2)
-        plan = plan_lexicographic(prod, vmap, complete_graph(2), g2, {1})
+        plan = plan_lexicographic(vmap, complete_graph(2), g2, {1})
         assert len(plan.non_singleton) == 1
         _, rep = build_labeling(prod, plan)
         assert rep.passed and rep.mono_edge_count == sparing_exact(prod).value
@@ -246,7 +272,7 @@ class TestPlanLexicographic:
     def test_p3_hosts_are_path_ends(self):
         g1, g2 = path_graph(3), complete_graph(2)
         prod, vmap = lexicographic_product(g1, g2)
-        plan = plan_lexicographic(prod, vmap, g1, g2, {1})
+        plan = plan_lexicographic(vmap, g1, g2, {1})
         copies = {vmap.inverse(v)[0] for v in plan.non_singleton}
         assert copies == {0, 2}
         _, rep = build_labeling(prod, plan)
@@ -258,7 +284,7 @@ class TestPlanCorona:
         g1, g2 = cycle_graph(4), complete_graph(2)
         s1, s2 = witness(g1), witness(g2)
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(prod, vmap, g1, s1, g2, s2)
+        plan = plan_corona(vmap, g1, s1, g2, s2)
         for i in range(g1.n):
             copy = set(vmap.copy_vertices(i))
             if i not in s1:
@@ -277,7 +303,7 @@ class TestPlanCorona:
         for g1, g2 in itertools.product(FAMILIES.values(), repeat=2):
             l1, l2 = optimal_labeling(g1), optimal_labeling(g2)
             prod, vmap = corona(g1, g2)
-            plan = plan_corona(prod, vmap, g1, l1.non_singleton_vertices(), g2,
+            plan = plan_corona(vmap, g1, l1.non_singleton_vertices(), g2,
                                l2.non_singleton_vertices())
             _, rep = build_labeling(prod, plan)
             assert rep.passed
@@ -292,7 +318,7 @@ class TestPlanCorona:
     def test_one_uniform_first_factor(self):
         g1, g2 = path_graph(2), complete_graph(2)
         prod, vmap = corona(g1, g2)
-        plan = plan_corona(prod, vmap, g1, set(), g2, {1})  # 1-uniform g1: r1 = n1
+        plan = plan_corona(vmap, g1, set(), g2, {1})  # 1-uniform g1: r1 = n1
         assert len(plan.non_singleton) == 2  # one per copy
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -303,7 +329,7 @@ class TestPlanRooted:
         g = complete_graph(2)
         for root in (0, 1):
             prod, vmap = rooted_product(g, g, root)
-            plan = plan_rooted(prod, vmap, g, {1}, g, {1})
+            plan = plan_rooted(vmap, g, {1}, g, {1})
             lab, rep = build_labeling(prod, plan)
             assert rep.passed
 
@@ -312,13 +338,13 @@ class TestPlanRooted:
         # s1 makes vertex 0 non-singleton, but the copy root (vertex 0 of g2)
         # is singleton, so the merged vertex falls back to singleton.
         prod, vmap = rooted_product(g, g, 0)
-        plan = plan_rooted(prod, vmap, g, {0}, g, {1})
+        plan = plan_rooted(vmap, g, {0}, g, {1})
         assert vmap.merged_vertex(0) not in plan.non_singleton
 
     def test_c3_rooted_p2(self):
         g1, g2 = cycle_graph(3), path_graph(2)
         prod, vmap = rooted_product(g1, g2, 0)
-        plan = plan_rooted(prod, vmap, g1, witness(g1), g2, witness(g2))
+        plan = plan_rooted(vmap, g1, witness(g1), g2, witness(g2))
         assert_independent(prod, plan.non_singleton)
         _, rep = build_labeling(prod, plan)
         assert rep.passed
@@ -332,12 +358,12 @@ class TestFullPlannerSweep:
             strong, lex = strong_product(g1, g2), lexicographic_product(g1, g2)
             cor, rooted = corona(g1, g2), rooted_product(g1, g2, 0)
             plans = [
-                (cart[0], plan_cartesian(*cart, g1, s1, g2)),
-                (tens[0], plan_direct(*tens, g1, s1, g2)),
-                (strong[0], plan_strong(*strong, g1, s1, g2)),
-                (lex[0], plan_lexicographic(*lex, g1, g2, s2)),
-                (cor[0], plan_corona(*cor, g1, s1, g2, s2)),
-                (rooted[0], plan_rooted(*rooted, g1, s1, g2, s2)),
+                (cart[0], plan_cartesian(cart[1], g1, s1, g2)),
+                (tens[0], plan_direct(tens[1], g1, s1, g2)),
+                (strong[0], plan_strong(strong[1], g1, s1, g2)),
+                (lex[0], plan_lexicographic(lex[1], g1, g2, s2)),
+                (cor[0], plan_corona(cor[1], g1, s1, g2, s2)),
+                (rooted[0], plan_rooted(rooted[1], g1, s1, g2, s2)),
             ]
             for prod, plan in plans:
                 assert_independent(prod, plan.non_singleton)
@@ -365,7 +391,7 @@ class TestPlanPin:
         for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
             for op, spec in PRODUCT_OPS.items():
                 product, vmap = spec.build(g1, g2, 0)
-                plan = spec.plan(product, vmap, g1, optimal[name1], g2, optimal[name2])
+                plan = spec.plan(vmap, g1, optimal[name1], g2, optimal[name2])
                 plans.append([name1, name2, op, plan.to_json_dict()])
         digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
         assert digest == SWEEP_GRID_PLANS_SHA256
@@ -377,7 +403,7 @@ class TestPlanPin:
         for (name1, g1), (name2, g2) in itertools.product(families.items(), repeat=2):
             for root in range(g2.n):
                 product, vmap = rooted_product(g1, g2, root)
-                plan = plan_rooted(product, vmap, g1, optimal[name1], g2, optimal[name2])
+                plan = plan_rooted(vmap, g1, optimal[name1], g2, optimal[name2])
                 plans.append([name1, name2, root, plan.to_json_dict()])
         digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
         assert digest == SWEEP_GRID_ROOTED_PLANS_SHA256
@@ -394,10 +420,13 @@ class TestEveryOpOnRandomFactors:
         root = rng.randrange(g2.n)
         for op, spec in PRODUCT_OPS.items():
             product, vmap = spec.build(g1, g2, root)
-            plan = spec.plan(product, vmap, g1, s1, g2, s2)
+            plan = spec.plan(vmap, g1, s1, g2, s2)
             assert_independent(product, plan.non_singleton)
             if op in ("direct", "lex", "corona", "rooted"):
                 assert plan.demoted == frozenset(), op  # independent by proof
+            else:
+                want = product_greedy_plan(op, product, vmap, g1, s1, g2)
+                assert (plan.non_singleton, plan.demoted) == want, op
             if op == "rooted":
                 # Merged vertex i iff s1 holds i and s2 the root; copy vertex
                 # (i, v) for v other than the root iff s2 holds v.

@@ -257,6 +257,13 @@ class TestCorona:
             assert g.n == g1.n * (1 + g2.n)
             assert g.m == g1.m + g1.n * g2.m + g1.n * g2.n
 
+    def test_copy_vertices_is_the_range_of_copy_vertex(self):
+        _, vmap = corona(P3, C4)
+        for i in range(3):
+            assert list(vmap.copy_vertices(i)) == [vmap.copy_vertex(i, j) for j in range(4)]
+        with pytest.raises(GraphError, match=r"^copy vertex \(3,0\) out of range$"):
+            vmap.copy_vertices(3)
+
 
 class TestRooted:
     def test_k2_rooted_k2_is_p4(self):
@@ -275,6 +282,62 @@ class TestRooted:
     def test_bad_root_rejected(self):
         with pytest.raises(GraphError):
             rooted_product(K2, K2, 2)
+
+
+def defined_product(op, g1, g2, root, vmap):
+    """The product's vertices by factor coordinates, each with its id
+    under vmap, and the adjacency the product's definition gives two of
+    them. A corona's g1 vertex i is (i, None) and keeps the id i; a rooted
+    product's merged vertex i is (i, root)."""
+    e1, e2 = g1.has_edge, g2.has_edge
+    if op == "corona":
+        ids = {(i, None): i for i in range(g1.n)}
+        ids.update({(i, j): vmap.copy_vertex(i, j) for i in range(g1.n) for j in range(g2.n)})
+
+        def adjacent(a, b):
+            if a[1] is None and b[1] is None:
+                return e1(a[0], b[0])
+            return a[0] == b[0] and (None in (a[1], b[1]) or e2(a[1], b[1]))
+        return ids, adjacent
+    if op == "rooted":
+        ids = {(i, v): vmap.copy_vertex(i, v) for i in range(g1.n) for v in range(g2.n)}
+        return ids, lambda a, b: ((a[0] == b[0] and e2(a[1], b[1]))
+                                  or (a[1] == b[1] == root and e1(a[0], b[0])))
+    ids = {(i, j): vmap.forward(i, j) for i in range(g1.n) for j in range(g2.n)}
+    cartesian = (lambda a, b: (a[0] == b[0] and e2(a[1], b[1]))
+                 or (a[1] == b[1] and e1(a[0], b[0])))
+    direct = lambda a, b: e1(a[0], b[0]) and e2(a[1], b[1])
+    return ids, {
+        "cartesian": cartesian,
+        "direct": direct,
+        "strong": lambda a, b: cartesian(a, b) or direct(a, b),
+        "lex": lambda a, b: e1(a[0], b[0]) or (a[0] == b[0] and e2(a[1], b[1])),
+    }[op]
+
+
+BUILDERS = {
+    "cartesian": lambda g1, g2, root: cartesian_product(g1, g2),
+    "direct": lambda g1, g2, root: direct_product(g1, g2),
+    "strong": lambda g1, g2, root: strong_product(g1, g2),
+    "lex": lambda g1, g2, root: lexicographic_product(g1, g2),
+    "corona": lambda g1, g2, root: corona(g1, g2),
+    "rooted": rooted_product,
+}
+
+nonempty = graphs(max_n=5).filter(lambda g: g.n >= 1)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(nonempty, nonempty, st.randoms(use_true_random=False))
+def test_every_product_is_its_definition_read_through_its_vertex_map(g1, g2, rng):
+    root = rng.randrange(g2.n)
+    for op, build in BUILDERS.items():
+        product, vmap = build(g1, g2, root)
+        ids, adjacent = defined_product(op, g1, g2, root, vmap)
+        assert sorted(ids.values()) == list(range(product.n)), op
+        want = sorted({tuple(sorted((ids[a], ids[b])))
+                       for a, b in itertools.combinations(ids, 2) if adjacent(a, b)})
+        assert list(product.edges) == want, op
 
 
 class TestUnionAndLayers:

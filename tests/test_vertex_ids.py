@@ -30,14 +30,9 @@ from weakiasi.graph_core import (
     GraphError,
     ProductVertexMap,
     RootedVertexMap,
-    cartesian_product,
-    corona,
-    direct_product,
     is_vertex,
-    lexicographic_product,
     path_graph,
     rooted_product,
-    strong_product,
 )
 from weakiasi.set_label import LabelError, Labeling
 
@@ -55,6 +50,20 @@ IDS = {
 }
 NOT_VERTICES = ["True", "1.0", "-1", "n"]
 
+# Each entry reads a pattern s of the 3-vertex factor P3 and raises
+# PlanError unless s is an independent set of its vertices.
+PATTERN_ENTRIES = {
+    "plan_cartesian": lambda s: plan_cartesian(ProductVertexMap(3, 2), P3, s, P2),
+    "plan_direct": lambda s: plan_direct(ProductVertexMap(3, 2), P3, s, P2),
+    "plan_strong": lambda s: plan_strong(ProductVertexMap(3, 2), P3, s, P2),
+    "plan_lexicographic": lambda s: plan_lexicographic(ProductVertexMap(2, 3), P2, P3, s),
+    "plan_corona-s1": lambda s: plan_corona(CoronaVertexMap(3, 3), P3, s, P3, set()),
+    "plan_corona-s2": lambda s: plan_corona(CoronaVertexMap(3, 3), P3, set(), P3, s),
+    "plan_rooted-s1": lambda s: plan_rooted(RootedVertexMap(3, 3, 0), P3, s, P3, {0}),
+    "plan_rooted-s2": lambda s: plan_rooted(RootedVertexMap(3, 3, 0), P3, set(), P3, s),
+    "assign_concrete_sets": lambda s: assign_concrete_sets(P3, LabelPlan(s, "x")),
+}
+
 # Each entry: the error it raises for an id that is not a vertex, and a
 # call taking x, which makes an id for an n-vertex place as x(n).
 ENTRIES = {
@@ -64,27 +73,14 @@ ENTRIES = {
     "inverse": (GraphError, lambda x: ProductVertexMap(3, 2).inverse(x(6))),
     "corona-copy-i": (GraphError, lambda x: CoronaVertexMap(3, 2).copy_vertex(x(3), 0)),
     "corona-copy-j": (GraphError, lambda x: CoronaVertexMap(3, 2).copy_vertex(0, x(2))),
+    "corona-copies-i": (GraphError, lambda x: CoronaVertexMap(3, 2).copy_vertices(x(3))),
     "merged_vertex": (GraphError, lambda x: RootedVertexMap(3, 2, 0).merged_vertex(x(3))),
     "rooted-copy-i": (GraphError, lambda x: RootedVertexMap(3, 2, 0).copy_vertex(x(3), 0)),
     "rooted-copy-v": (GraphError, lambda x: RootedVertexMap(3, 2, 0).copy_vertex(0, x(2))),
     "rooted_product-root": (GraphError, lambda x: rooted_product(P3, P2, x(2))),
     "rooted-map-root": (GraphError, lambda x: RootedVertexMap(3, 3, x(3)).copy_vertex(0, 2)),
-    "plan_cartesian": (PlanError, lambda x: plan_cartesian(
-        *cartesian_product(P3, P2), P3, {x(3)}, P2)),
-    "plan_direct": (PlanError, lambda x: plan_direct(*direct_product(P3, P2), P3, {x(3)}, P2)),
-    "plan_strong": (PlanError, lambda x: plan_strong(*strong_product(P3, P2), P3, {x(3)}, P2)),
-    "plan_lexicographic": (PlanError, lambda x: plan_lexicographic(
-        *lexicographic_product(P2, P3), P2, P3, {x(3)})),
-    "plan_corona-s1": (PlanError, lambda x: plan_corona(
-        *corona(P3, P3), P3, {x(3)}, P3, set())),
-    "plan_corona-s2": (PlanError, lambda x: plan_corona(
-        *corona(P3, P3), P3, set(), P3, {x(3)})),
-    "plan_rooted-s1": (PlanError, lambda x: plan_rooted(
-        *rooted_product(P3, P3, 0), P3, {x(3)}, P3, {0})),
-    "plan_rooted-s2": (PlanError, lambda x: plan_rooted(
-        *rooted_product(P3, P3, 0), P3, set(), P3, {x(3)})),
-    "assign_concrete_sets": (PlanError, lambda x: assign_concrete_sets(
-        P3, LabelPlan(frozenset({x(3)}), "x"))),
+    **{name: (PlanError, lambda x, call=call: call({x(3)}))
+       for name, call in PATTERN_ENTRIES.items()},
     "Labeling-key": (LabelError, lambda x: Labeling(P2, {0: [1], x(2): [3]})),
     "Labeling-getitem": (KeyError, lambda x: Labeling(P3, [[1], [2, 4], [3]])[x(3)]),
 }
@@ -101,6 +97,37 @@ def test_every_entry_refuses_an_id_that_is_not_a_vertex(entry, bad):
     call(IDS["n-1"])
     with pytest.raises(error):
         call(IDS[bad])
+
+
+# Each pattern as a list, and as the iterators that must read like it.
+PATTERNS = {
+    "independent": [0, 2],
+    "dependent": [0, 1],
+    "True-merges-into-1": [1, True],
+    "1-merges-into-True": [True, 1],
+}
+READERS = {
+    "list": list,
+    "iterator": iter,
+    "generator": lambda vs: (v for v in vs),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("entry", PATTERN_ENTRIES)
+def test_every_pattern_entry_reads_an_iterator_as_its_list(entry, pattern, reader):
+    call, given = PATTERN_ENTRIES[entry], READERS[reader](PATTERNS[pattern])
+    if pattern != "independent":
+        with pytest.raises(PlanError):
+            call(given)
+        return
+    out = call(given)
+    assert out == call(PATTERNS[pattern])
+    if isinstance(out, LabelPlan):
+        assert out.non_singleton
+    else:
+        assert out.non_singleton_vertices() == {0, 2}
 
 
 @pytest.mark.parametrize("bad", NOT_VERTICES)

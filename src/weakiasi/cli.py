@@ -14,6 +14,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -437,6 +438,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # The loaders' tuples would set off cyclic collections, though a
+    # command's data hold no cycle that needs collecting before it ends:
+    # only each sparing_exact call leaves one, its closures and memo.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _check_args(args)
         return args.handler(args)
@@ -452,6 +458,9 @@ def main(argv=None):
     except OSError as exc:  # only writes get here: _load_json turns read errors into GraphError
         sys.stderr.write(f"output error: {exc}\n")
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

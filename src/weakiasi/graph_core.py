@@ -32,6 +32,13 @@ def is_vertex(v, n):
     return type(v) is int and 0 <= v < n
 
 
+def short_repr(value):
+    """repr(value), cut to 40 characters: a message echoes at most that
+    much of an input, however long the input is."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _unique_keys(pairs):
     """A JSON object as a dict; a repeated key would silently drop a value."""
     obj = dict(pairs)
@@ -77,15 +84,15 @@ class Graph(_GraphFields):
     def __new__(cls, n, edges=(), allow_isolated=False):
         # bool is a subclass of int, so JSON true would pass isinstance.
         if type(n) is not int or n < 0:
-            raise GraphError(f"vertex count must be a non-negative integer, got {n!r}")
+            raise GraphError(f"vertex count must be a non-negative integer, got {short_repr(n)}")
         norm = []
         for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise GraphError(f"edge {e!r} is not a pair of vertices") from None
+                raise GraphError(f"edge {short_repr(e)} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
-                raise GraphError(f"edge {e!r} has a non-integer endpoint")
+                raise GraphError(f"edge {short_repr(e)} has a non-integer endpoint")
             # is_vertex, inlined: this loop runs on every edge of every load and product.
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
@@ -306,10 +313,20 @@ class RootedVertexMap(NamedTuple):
         offset = v if v < self.root else v - 1
         return self.n1 + i * (self.n2 - 1) + offset
 
+    def copy_vertices(self, i):
+        """Product ids of copy i of g2, as a list: g2-vertex v at index v."""
+        if not is_vertex(self.root, self.n2):
+            raise GraphError(f"root {self.root} is not a vertex of the rooted factor")
+        if not is_vertex(i, self.n1):
+            raise GraphError(f"copy vertex ({i},0) out of range")
+        start = self.n1 + i * (self.n2 - 1)
+        ids = list(range(start, start + self.n2 - 1))
+        ids.insert(self.root, i)
+        return ids
+
     def to_json_dict(self):
         return {"kind": "rooted", "n1": self.n1, "n2": self.n2, "root": self.root,
-                "copies": {str(i): [self.copy_vertex(i, v) for v in range(self.n2)]
-                           for i in range(self.n1)}}
+                "copies": {str(i): self.copy_vertices(i) for i in range(self.n1)}}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +406,7 @@ def rooted_product(g1, g2, root):
     vmap = RootedVertexMap(g1.n, g2.n, root)
     edges = list(g1.edges)
     for i in range(g1.n):
-        ids = [vmap.copy_vertex(i, v) for v in range(g2.n)]
+        ids = vmap.copy_vertices(i)
         edges.extend((ids[u], ids[v]) for u, v in g2.edges)
     n = g1.n + g1.n * (g2.n - 1)
     return Graph(n, edges, allow_isolated=True), vmap

@@ -11,10 +11,10 @@ carried in a VerificationReport, exceptions are reserved for malformed input.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
-from .graph_core import Graph, is_vertex, parse_json
+from .graph_core import Graph, is_vertex, parse_json, short_repr
 
 
 class LabelError(ValueError):
@@ -90,7 +90,7 @@ class Labeling(_LabelingFields):
                 raise LabelError(f"labeling misses {missing} of {graph.n} vertices "
                                  f"(first: {first})")
             raise LabelError(f"labeling names {len(extra)} unknown vertices "
-                             f"(first: {extra[:10]})")
+                             f"(first: [{', '.join(map(short_repr, extra[:10]))}])")
         sets = tuple([s if isinstance(s, IntegerSet) else IntegerSet(s)
                       for s in map(labels.__getitem__, vertices)])
         return super().__new__(cls, graph, sets)
@@ -131,6 +131,21 @@ class Labeling(_LabelingFields):
 
     @classmethod
     def from_json_dict(cls, d, graph):
+        raw = d.get("labels") if type(d) is dict else None
+        if type(raw) is dict and len(raw) == graph.n:
+            # One bulk pass for what the loop below would accept: keys "0"
+            # to "n-1" in order, and nonempty lists of non-negative ints.
+            # It returns the loop's labeling; other input takes the loop,
+            # which names the first bad entry.
+            values = list(raw.values())
+            if (set(map(type, values)) <= {list} and all(values)
+                    and set(map(type, chain.from_iterable(values))) <= {int}
+                    and min(chain.from_iterable(values), default=0) >= 0
+                    and list(raw) == list(map(str, range(graph.n)))):
+                new = tuple.__new__
+                sets = tuple([new(IntegerSet, s if len(s) == 1 else sorted(set(s)))
+                              for s in values])
+                return new(cls, (graph, sets))
         try:
             raw = d["labels"]
             labels = {int(v): IntegerSet(s) for v, s in raw.items()}
@@ -140,7 +155,8 @@ class Labeling(_LabelingFields):
         # vertex 0, and one of the two labels would be dropped unseen.
         if list(map(str, labels)) != list(raw):
             bad = next(k for k in raw if str(int(k)) != k)
-            raise LabelError(f"bad labeling JSON: key {bad!r} is not a canonical vertex id")
+            raise LabelError(f"bad labeling JSON: key {short_repr(bad)} "
+                             "is not a canonical vertex id")
         return cls(graph, labels)
 
     @classmethod

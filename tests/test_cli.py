@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from weakiasi.cli import (
     main,
     run_sweep,
 )
-from weakiasi import constructions
+from weakiasi import cli, constructions
 from weakiasi.constructions import (
     LabelPlan,
     assign_concrete_sets,
@@ -484,13 +485,18 @@ class TestStrictInput:
         {"n": 3, "edges": [[0, 1], [1, 2.0]]},
         {"n": 3, "edges": [[0, 1], [1, 2, 0]]},
         {"n": 3, "edges": [[0, True], [1, 2]]},
-    ], ids=["string-n", "float-endpoint", "three-element-edge", "bool-vertex"])
+        {"n": "x" * 400_000, "edges": [[0, 1]]},
+        {"n": 3, "edges": [[0, 1], list(range(200_000))]},
+        {"n": 3, "edges": [[0, 1], [1, "x" * 300_000]]},
+    ], ids=["string-n", "float-endpoint", "three-element-edge", "bool-vertex",
+            "huge-string-n", "huge-edge", "huge-string-endpoint"])
     def test_malformed_graph_is_parse_error(self, tmp_path, graph):
         p = tmp_path / "g.json"
         p.write_text(json.dumps(graph))
         proc = run_module("sparing", "--graph", str(p))
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
 
     def test_huge_isolated_vertex_count_is_a_short_parse_error(self, tmp_path):
         p = tmp_path / "g.json"
@@ -574,7 +580,8 @@ class TestStrictInput:
     @pytest.mark.parametrize("labels", [
         {"0": [1], "00": [2, 3], "1": [4]},
         {"0": [1], "+1": [2, 3]},
-    ], ids=["00-shadows-0", "plus-sign"])
+        {"0": [1], "1" + " " * 500_000: [2, 3]},
+    ], ids=["00-shadows-0", "plus-sign", "trailing-spaces"])
     def test_non_canonical_labeling_key_is_parse_error(self, tmp_path, labels):
         k2 = tmp_path / "k2.json"
         k2.write_text(complete_graph(2).to_json())
@@ -583,6 +590,8 @@ class TestStrictInput:
         proc = run_module("verify", "--graph", str(k2), "--labels", str(p))
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
+        assert "is not a canonical vertex id" in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
 
     @pytest.mark.parametrize("command, flag, text", [
         ("sparing", "--graph", "[" * 100_000),
@@ -653,6 +662,65 @@ class TestOutputErrors:
                      "--dot", str(tmp_path / "missing" / "x.dot")])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+
+# Each command line for main, by the exit it must give, with graphs as the
+# fixture's paths and tmp the test's directory.
+EXITS = {
+    "ok": (EXIT_OK, lambda graphs, tmp: ["sparing", "--graph", graphs["c5"],
+                                         "--out", str(tmp / "out.json")]),
+    "argparse": (EXIT_USAGE, lambda graphs, tmp: ["sparing"]),
+    "usage": (EXIT_USAGE, lambda graphs, tmp: ["sparing", "--graph", graphs["c5"],
+                                               "--oracle-bound", "-1"]),
+    "output": (EXIT_USAGE, lambda graphs, tmp: ["sparing", "--graph", graphs["c5"],
+                                                "--out", str(tmp / "missing" / "x")]),
+    "parse": (EXIT_PARSE, lambda graphs, tmp: ["sparing", "--graph", str(tmp / "absent.json")]),
+    "capacity": (EXIT_CAPACITY, lambda graphs, tmp: ["sparing", "--graph", graphs["c5"],
+                                                     "--oracle-bound", "4"]),
+    "verify": (EXIT_VERIFY, lambda graphs, tmp: ["verify", "--graph", graphs["p3"],
+                                                 "--labels", graphs["same"]]),
+}
+
+
+class TestCollector:
+    """main runs each command with the cyclic collector paused, and leaves
+    it as it found it on every exit."""
+
+    @pytest.fixture
+    def graphs(self, graphs, tmp_path):
+        same = tmp_path / "same.json"
+        same.write_text(json.dumps({"labels": {"0": [5], "1": [5], "2": [5]}}))
+        return dict(graphs, same=str(same))
+
+    @pytest.fixture
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("exit_kind", EXITS)
+    def test_main_leaves_the_collector_as_it_found_it(self, graphs, tmp_path, restore_collector,
+                                                      exit_kind, enabled):
+        code, argv = EXITS[exit_kind]
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv(graphs, tmp_path)) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_handler_runs_with_the_collector_off(self, graphs, monkeypatch,
+                                                 restore_collector, enabled):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            return EXIT_VERIFY
+
+        monkeypatch.setattr(cli, "cmd_sparing", handler)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["sparing", "--graph", graphs["c5"]]) == EXIT_VERIFY
+        assert seen == [False]
+        assert gc.isenabled() is enabled
 
 
 class TestLargeProduct:

@@ -74,6 +74,20 @@ class TestGraphType:
         g = Graph(3, [(0, 1)], allow_isolated=True)
         assert g.n == 3 and g.m == 1
 
+    @pytest.mark.parametrize("n, edges, message", [
+        ("3", [], "vertex count must be a non-negative integer, got '3'"),
+        ("x" * 1000, [], "vertex count must be a non-negative integer, got '" + "x" * 39 + "..."),
+        (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
+        (3, [list(range(1000))], "edge " + repr(list(range(1000)))[:40] + "... is not a pair"),
+        (3, [(0, "1")], "edge (0, '1') has a non-integer endpoint"),
+        (3, [(0, "x" * 1000)], "edge (0, '" + "x" * 35 + "... has a non-integer endpoint"),
+    ], ids=["n", "long-n", "triple", "long-edge", "endpoint", "long-endpoint"])
+    def test_messages_echo_forty_characters_of_a_value_at_most(self, n, edges, message):
+        with pytest.raises(GraphError) as info:
+            Graph(n, edges)
+        assert str(info.value).startswith(message)
+        assert len(str(info.value)) < 100
+
     def test_duplicate_and_reversed_edges_normalize(self):
         g = Graph(3, [(1, 0), (0, 1), (1, 2)])
         assert g.sorted_edges() == [(0, 1), (1, 2)]
@@ -282,6 +296,16 @@ class TestRooted:
     def test_bad_root_rejected(self):
         with pytest.raises(GraphError):
             rooted_product(K2, K2, 2)
+
+    def test_copy_vertices_lists_copy_vertex(self):
+        for root in range(4):
+            _, vmap = rooted_product(P3, C4, root)
+            for i in range(3):
+                assert vmap.copy_vertices(i) == [vmap.copy_vertex(i, v) for v in range(4)]
+            copies = vmap.to_json_dict()["copies"]
+            assert copies == {str(i): vmap.copy_vertices(i) for i in range(3)}
+        with pytest.raises(GraphError, match=r"^copy vertex \(3,0\) out of range$"):
+            vmap.copy_vertices(3)
 
 
 def defined_product(op, g1, g2, root, vmap):

@@ -13,6 +13,7 @@ from weakiasi.graph_core import (
     disjoint_union,
     path_graph,
     restrict_to_layer,
+    short_repr,
 )
 from weakiasi.set_label import (
     IntegerSet,
@@ -133,6 +134,13 @@ class TestLabeling:
         with pytest.raises(LabelError, match=message):
             Labeling(path_graph(3), sets)
 
+    def test_unknown_vertices_are_named_forty_characters_at_most(self):
+        key = 10 ** 4000
+        with pytest.raises(LabelError) as info:
+            Labeling(path_graph(2), {0: [1], 1: [2], key: [3], "x" * 1000: [4], 5: [6]})
+        assert str(info.value) == ("labeling names 3 unknown vertices (first: ["
+                                   + repr(key)[:40] + "..., '" + "x" * 39 + "..., 5])")
+
     def test_replace_validates(self):
         lab = L(path_graph(3), [1], [2, 4], [3])
         assert lab._replace(sets=[[5], [6], [7]]) == L(path_graph(3), [5], [6], [7])
@@ -175,6 +183,101 @@ class TestLabeling:
         assert lab[2] == (3,)
         with pytest.raises(KeyError):
             lab[v]
+
+
+def reference_from_json_dict(d, graph):
+    """The per-entry loader: each key's int and each label's IntegerSet in a
+    dict, canonical keys, then Labeling's own vertex checks."""
+    try:
+        raw = d["labels"]
+        labels = {int(k): IntegerSet(v) for k, v in raw.items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise LabelError(f"bad labeling JSON: {exc}")
+    if list(map(str, labels)) != list(raw):
+        bad = next(k for k in raw if str(int(k)) != k)
+        raise LabelError(f"bad labeling JSON: key {short_repr(bad)} "
+                         "is not a canonical vertex id")
+    return Labeling(graph, labels)
+
+
+def load_outcome(load, d, graph):
+    try:
+        lab = load(d, graph)
+    except LabelError as exc:
+        return "error", str(exc)
+    assert all(type(s) is IntegerSet for s in lab.sets) and lab.graph is graph
+    return "labeling", lab
+
+
+FAULTS = ["shuffle", "tuple", "string", "bool", "float", "negative", "empty",
+          "bad-key", "missing", "extra", "labels-not-a-dict", "not-a-dict", "no-labels"]
+
+
+@st.composite
+def labeling_documents(draw):
+    """A small graph and a labeling document for it: well formed, with
+    repeated and unsorted elements, and broken in up to three drawn ways."""
+    g = draw(graphs(max_n=8))
+    labels = [(str(v), draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)))
+              for v in range(g.n)]
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=3))
+    vertex = st.integers(0, g.n - 1) if g.n else st.nothing()
+    for fault, value in [("tuple", lambda s: tuple(s)), ("string", lambda s: "12"),
+                         ("bool", lambda s: [*s, True]), ("float", lambda s: [1.0, *s]),
+                         ("negative", lambda s: [*s, -1]), ("empty", lambda s: [])]:
+        if fault in faults and g.n:
+            v = draw(vertex)
+            labels[v] = (labels[v][0], value(labels[v][1]))
+    if "bad-key" in faults and g.n:
+        v = draw(vertex)
+        labels[v] = (draw(st.sampled_from(["00", " 1", "+1", "01", "1 ", "x", "-1"])),
+                     labels[v][1])
+    if "missing" in faults and g.n:
+        del labels[draw(vertex)]
+    if "extra" in faults:
+        labels.append((str(g.n + draw(st.integers(0, 2))), [7]))
+    if "shuffle" in faults:
+        labels = draw(st.permutations(labels))
+    d = {"labels": dict(labels)}
+    if "labels-not-a-dict" in faults:
+        d = {"labels": [s for _, s in labels]}
+    if "not-a-dict" in faults:
+        d = [d]
+    if "no-labels" in faults:
+        d = {"label": dict(labels)}
+    return g, d
+
+
+class TestBulkLoad:
+    """from_json_dict gives the per-entry loader's labeling, or its error."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(labeling_documents())
+    def test_matches_the_per_entry_loader(self, case):
+        g, d = case
+        assert (load_outcome(Labeling.from_json_dict, d, g)
+                == load_outcome(reference_from_json_dict, d, g))
+
+    @pytest.mark.parametrize("labels", [
+        {"0": [1], "1": [2, 3], "2": [4]},
+        {"0": [1], "1": [3, 2, 3], "2": [4]},
+        {"1": [2, 3], "0": [1], "2": [4]},
+        {"0": [1], "1": (2, 3), "2": [4]},
+        {"0": [1], "1": "23", "2": [4]},
+        {"0": [1], "1": [2, True], "2": [4]},
+        {"0": [1], "1": [2, 3.0], "2": [4]},
+        {"0": [1], "1": [2, -3], "2": [4]},
+        {"0": [1], "1": [], "2": [4]},
+        {"0": [1], "00": [2, 3], "2": [4]},
+        {"0": [1], " 1": [2, 3], "2": [4]},
+        {"0": [1], "+1": [2, 3], "2": [4]},
+        {"0": [1], "1": [2, 3]},
+        {"0": [1], "1": [2, 3], "2": [4], "3": [5]},
+    ])
+    def test_named_cases_match_the_per_entry_loader(self, labels):
+        g, d = path_graph(3), {"labels": labels}
+        assert (load_outcome(Labeling.from_json_dict, d, g)
+                == load_outcome(reference_from_json_dict, d, g))
 
 
 class TestVerifyIasi:

@@ -1,5 +1,6 @@
 """The benchmark's tracer sees one product build and one plan per `label --op`,
-and one graph load, labeling load and verifier call per `verify`.
+and one graph load, labeling load and verifier call per `verify`; traced
+`sweep` and `sparing` requests run to exit 0 and show their layers' spans.
 
 bench/child.py wraps the product builders and planners at every module
 attribute they are looked up by; constructions.PRODUCT_OPS calls them
@@ -51,3 +52,21 @@ def test_verify_loads_once_and_verifies_once(tmp_path):
     names = [span[0] for span in json.loads(spans.read_text())["spans"]]
     for name in ("set_label.verify", "set_label.labeling_load", "graph_core.load"):
         assert names.count(name) == 1, name
+
+
+@pytest.mark.parametrize("command", ["sweep", "sparing"])
+def test_sweep_and_sparing_run_traced(tmp_path, command):
+    spans = tmp_path / "spans.json"
+    graph = tmp_path / "c7.json"
+    graph.write_text(cycle_graph(7).to_json())
+    inputs = {"sweep": ["sweep", "--oracle-bound", "24"],
+              "sparing": ["sparing", "--graph", str(graph)]}
+    args = [sys.executable, "-I", os.path.join(ROOT, "bench", "child.py"),
+            os.path.join(ROOT, "src"), str(spans), *inputs[command],
+            "--out", str(tmp_path / "out.json")]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = set(span[0] for span in json.loads(spans.read_text())["spans"])
+    assert "sparing.exact" in names
+    if command == "sweep":
+        assert {"constructions.plan", "constructions.assign", "set_label.verify"} <= names

@@ -79,6 +79,8 @@ ENTRIES = {
     "rooted-copy-v": (GraphError, lambda x: RootedVertexMap(3, 2, 0).copy_vertex(0, x(2))),
     "rooted_product-root": (GraphError, lambda x: rooted_product(P3, P2, x(2))),
     "rooted-map-root": (GraphError, lambda x: RootedVertexMap(3, 3, x(3)).copy_vertex(0, 2)),
+    "rooted-copies-i": (GraphError, lambda x: RootedVertexMap(3, 2, 0).copy_vertices(x(3))),
+    "rooted-copies-root": (GraphError, lambda x: RootedVertexMap(3, 3, x(3)).copy_vertices(0)),
     **{name: (PlanError, lambda x, call=call: call({x(3)}))
        for name, call in PATTERN_ENTRIES.items()},
     "Labeling-key": (LabelError, lambda x: Labeling(P2, {0: [1], x(2): [3]})),

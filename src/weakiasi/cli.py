@@ -281,6 +281,8 @@ def run_sweep(oracle_bound=sparing.DEFAULT_ORACLE_BOUND, seed=0):
                     formula = sparing.sparing_formula_corona(g1.n, g2.m, g1.n - len(s1),
                                                              g2.n - len(s2))
                     row["formula"] = formula
+                    # Checked here, not by catching CapacityError: a traced
+                    # call that raises records no counts, yet the sweep goes on.
                     if product.n <= oracle_bound:
                         exact = sparing.sparing_exact(product, oracle_bound)
                         row["exact"] = exact.value
@@ -438,9 +440,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    # The loaders' tuples would set off cyclic collections, though a
-    # command's data hold no cycle that needs collecting before it ends:
-    # only each sparing_exact call leaves one, its closures and memo.
+    # The loaders' tuples would set off cyclic collections that find
+    # nothing: no library call leaves a reference cycle. This is the one
+    # place in the package that touches the collector.
     collecting = gc.isenabled()
     gc.disable()
     try:

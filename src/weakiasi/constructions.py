@@ -171,7 +171,8 @@ def plan_corona(vmap, g1, s1, g2, s2):
     desired = set(s1)
     for i in range(g1.n):
         if i not in s1:
-            desired.update(vmap.copy_vertex(i, j) for j in s2)
+            ids = vmap.copy_vertices(i)
+            desired.update(ids[j] for j in s2)
     return LabelPlan(frozenset(desired), "corona")
 
 
@@ -185,8 +186,8 @@ def plan_rooted(vmap, g1, s1, g2, s2):
     """
     s1 = _independent(g1, s1, "first factor")
     s2 = _independent(g2, s2, "second factor")
-    desired = {vmap.copy_vertex(i, v) for i in range(g1.n) for v in s2
-               if v != vmap.root or i in s1}
+    desired = {ids[v] for i, ids in enumerate(map(vmap.copy_vertices, range(g1.n)))
+               for v in s2 if v != vmap.root or i in s1}
     return LabelPlan(frozenset(desired), "rooted")
 
 

@@ -13,7 +13,6 @@ their own vertex maps because their vertex sets are not full grids.
 
 from __future__ import annotations
 
-import gc
 import json
 from bisect import bisect_left
 from collections import Counter, deque
@@ -52,18 +51,12 @@ def parse_json(text, error, context):
     """json.loads(text), raising error(context + reason) on bad JSON, on a
     repeated key in any object and on nesting too deep to parse.
 
-    The hook's (key, value) tuples would set off cyclic collections, though
-    parsed JSON holds no cycles, so the collector is paused for the parse.
+    It leaves the collector alone: cli.main pauses it for a whole command.
     """
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise error(f"{context}{exc}")
-    finally:
-        if collecting:
-            gc.enable()
 
 
 class _GraphFields(NamedTuple):
@@ -272,7 +265,7 @@ class CoronaVertexMap(NamedTuple):
         """Product id of vertex j in the i-th copy of g2."""
         if not (is_vertex(i, self.p1) and is_vertex(j, self.p2)):
             raise GraphError(f"copy vertex ({i},{j}) out of range")
-        return self.p1 + i * self.p2 + j
+        return self.copy_vertices(i)[j]
 
     def copy_vertices(self, i):
         """Product ids of the i-th copy of g2, as a range: vertex j at index j."""
@@ -308,10 +301,7 @@ class RootedVertexMap(NamedTuple):
             raise GraphError(f"root {self.root} is not a vertex of the rooted factor")
         if not (is_vertex(i, self.n1) and is_vertex(v, self.n2)):
             raise GraphError(f"copy vertex ({i},{v}) out of range")
-        if v == self.root:
-            return i
-        offset = v if v < self.root else v - 1
-        return self.n1 + i * (self.n2 - 1) + offset
+        return self.copy_vertices(i)[v]
 
     def copy_vertices(self, i):
         """Product ids of copy i of g2, as a list: g2-vertex v at index v."""

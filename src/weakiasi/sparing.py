@@ -82,7 +82,10 @@ def _adj_masks(g):
 def sparing_exact(g, oracle_bound=DEFAULT_ORACLE_BOUND):
     """Exact sparing number with a lexicographically smallest witness.
 
-    Raises CapacityError when g has more than oracle_bound vertices.
+    Raises CapacityError when g has more than oracle_bound vertices, and
+    when the search, which recurses once per decided vertex, passes
+    Python's recursion limit (a path of 2,000 vertices does). The limit is
+    a process-wide setting, so it is left as it is.
 
     The sparing number is m minus the best coverage. The search bounds
     the coverage still to gain by the number of edges at eligible
@@ -94,8 +97,9 @@ def sparing_exact(g, oracle_bound=DEFAULT_ORACLE_BOUND):
     own incumbent, and its value is added to the coverage; the node then
     branches on the largest part with the incumbent it already had. Part
     values are memoized by vertex mask in a dict that lives for this one
-    call. It needs no cap: each entry is made by a search node, so the
-    memo never outgrows the node count.
+    call and is freed when it returns, as are the search's closures: the
+    call leaves no reference cycle. It needs no cap: each entry is made by
+    a search node, so the memo never outgrows the node count.
 
     Witness ties are broken by Python tuple order on the sorted vertex
     list, so a prefix beats any of its extensions. The witness is built
@@ -202,24 +206,30 @@ def sparing_exact(g, oracle_bound=DEFAULT_ORACLE_BOUND):
         return gain(avail ^ bit, cov, bound - lost(bit, avail), best, goal)
 
     free = (1 << g.n) - 1  # search bits of the undecided, unblocked vertices
-    best_cov = gain(free, 0, g.m, 0, g.m + 1)
-    witness = []
-    cov = 0
-    for v in range(g.n):
-        if cov == best_cov:
-            break
-        i = rank[v]
-        bit = 1 << i
-        if not free & bit:
-            continue
-        free ^= bit
-        # Can the best coverage still be reached with v and later vertices?
-        later = free & ~adj[i]
-        if gain(later, cov + deg[i], lost(later, later),
-                best_cov - 1, best_cov) == best_cov:
-            witness.append(v)
-            free = later
-            cov += deg[i]
+    try:
+        best_cov = gain(free, 0, g.m, 0, g.m + 1)
+        witness = []
+        cov = 0
+        for v in range(g.n):
+            if cov == best_cov:
+                break
+            i = rank[v]
+            bit = 1 << i
+            if not free & bit:
+                continue
+            free ^= bit
+            # Can the best coverage still be reached with v and later vertices?
+            later = free & ~adj[i]
+            if gain(later, cov + deg[i], lost(later, later),
+                    best_cov - 1, best_cov) == best_cov:
+                witness.append(v)
+                free = later
+                cov += deg[i]
+    except RecursionError:
+        raise CapacityError(f"graph has {g.n} vertices, and the exact search "
+                            "passed Python's recursion limit") from None
+    finally:
+        gain = peel = None  # empty the closure cells: no cycle keeps the memo
     return SparingResult(value=g.m - best_cov, witness=tuple(witness),
                          method="exact-oracle", nodes=nodes)
 

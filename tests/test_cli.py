@@ -147,6 +147,20 @@ class TestSparing:
         # The bound has one source, the caller; no environment variable.
         assert "--oracle-bound" in err and "WEAKIASI_" not in err
 
+    @pytest.mark.parametrize("command", ["sparing", "label"])
+    def test_recursion_limit_is_a_one_line_capacity_error(self, tmp_path, command):
+        p, c4 = tmp_path / "p3000.json", tmp_path / "c4.json"
+        p.write_text(path_graph(3000).to_json())
+        c4.write_text(cycle_graph(4).to_json())
+        # label --op reaches the oracle through its factors' witnesses.
+        inputs = {"sparing": ["--graph", str(p)],
+                  "label": ["--op", "corona", "--g1", str(p), "--g2", str(c4)]}
+        proc = run_module(command, *inputs[command], "--oracle-bound", "5000",
+                          "--out", str(tmp_path / "out.json"))
+        assert proc.returncode == EXIT_CAPACITY
+        assert proc.stderr.startswith("capacity error: graph has 3000 vertices")
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
     def test_negative_oracle_bound_is_usage_error(self, graphs, tmp_path):
         code = main(["sparing", "--graph", graphs["k4"], "--oracle-bound", "-1",
                      "--out", str(tmp_path / "s.json")])

@@ -140,8 +140,8 @@ class TestGraphType:
     @pytest.mark.parametrize("text", ['{"n": 2, "edges": [[0, 1]]}', '{"n": 2, "n": 2}'],
                              ids=["good", "repeated-key"])
     def test_json_parse_leaves_the_collector_as_it_found_it(self, text):
-        # The parse pauses the cyclic collector; it must not switch it on
-        # for a caller that had it off, nor leave it off after an error.
+        # Only cli.main pauses the cyclic collector: the parse must not
+        # switch it on for a caller that had it off, nor off after an error.
         was_enabled = gc.isenabled()
         try:
             for enabled in (True, False):

@@ -93,6 +93,11 @@ class TestExactOracle:
         with pytest.raises(CapacityError, match="5"):
             sparing_exact(g, oracle_bound=5)
 
+    def test_search_past_the_recursion_limit_is_a_capacity_error(self):
+        # The search recurses once per decided vertex; the limit stays as it is.
+        with pytest.raises(CapacityError, match="^graph has 3000 vertices, .*recursion limit$"):
+            sparing_exact(path_graph(3000), oracle_bound=5000)
+
     def test_agrees_with_brute_force_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(40):

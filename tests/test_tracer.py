@@ -1,6 +1,9 @@
 """The benchmark's tracer sees one product build and one plan per `label --op`,
 and one graph load, labeling load and verifier call per `verify`; traced
 `sweep` and `sparing` requests run to exit 0 and show their layers' spans.
+Every oracle, verifier and planner span of a request that exits 0 carries
+its counts: a traced call that raises records none, and the bench's
+per-layer metrics read them.
 
 bench/child.py wraps the product builders and planners at every module
 attribute they are looked up by; constructions.PRODUCT_OPS calls them
@@ -18,6 +21,13 @@ from weakiasi.graph_core import cycle_graph
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 OPS = ["cartesian", "direct", "strong", "lex", "corona", "rooted"]
+COUNTED = ("sparing.exact", "set_label.verify", "constructions.plan")
+
+
+def assert_counted(spans):
+    """Every span of a COUNTED layer carries its counts."""
+    uncounted = [span[0] for span in spans if span[0] in COUNTED and span[4] is None]
+    assert not uncounted, uncounted
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -33,7 +43,9 @@ def test_label_builds_one_product_and_makes_one_plan(tmp_path, op):
         args += ["--root", "0"]
     proc = subprocess.run(args, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    traced = json.loads(spans.read_text())["spans"]
+    assert_counted(traced)
+    names = [span[0] for span in traced]
     assert names.count("graph_core.product") == 1
     assert names.count("constructions.plan") == 1
 
@@ -49,7 +61,9 @@ def test_verify_loads_once_and_verifies_once(tmp_path):
             "--labels", str(labels), "--out", str(tmp_path / "out.json")]
     proc = subprocess.run(args, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    traced = json.loads(spans.read_text())["spans"]
+    assert_counted(traced)
+    names = [span[0] for span in traced]
     for name in ("set_label.verify", "set_label.labeling_load", "graph_core.load"):
         assert names.count(name) == 1, name
 
@@ -66,7 +80,9 @@ def test_sweep_and_sparing_run_traced(tmp_path, command):
             "--out", str(tmp_path / "out.json")]
     proc = subprocess.run(args, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = set(span[0] for span in json.loads(spans.read_text())["spans"])
+    traced = json.loads(spans.read_text())["spans"]
+    assert_counted(traced)
+    names = set(span[0] for span in traced)
     assert "sparing.exact" in names
     if command == "sweep":
         assert {"constructions.plan", "constructions.assign", "set_label.verify"} <= names
